@@ -77,8 +77,31 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=False))
 
 
-def _poly_str(p) -> str:
-    return str(p)
+def _print_table(system: CoxeterSystem, fmt: str, head: dict,
+                 keys: tuple[str, str, str], header: str, rows) -> None:
+    """Print (a, b, polynomial) rows as JSON objects with the given keys,
+    or as TSV lines below `header`.  `rows` may be a generator, so TSV
+    streams without holding the table twice.  A table repeats few
+    distinct polynomials many times, so each one is rendered once."""
+    word = system.word_str
+    memo: dict = {}
+    if fmt == "json":
+        ka, kb, kp = keys
+        out = []
+        for a, b, p in rows:
+            pairs = memo.get(p)
+            if pairs is None:
+                pairs = memo[p] = p.to_pairs()
+            out.append({ka: word(a), kb: word(b), kp: pairs})
+        _print_json({**head, "rows": out})
+        return
+    write = sys.stdout.write
+    write(header + "\n")
+    for a, b, p in rows:
+        text = memo.get(p)
+        if text is None:
+            text = memo[p] = str(p)
+        write(f"{word(a)}\t{word(b)}\t{text}\n")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -87,23 +110,12 @@ def _poly_str(p) -> str:
 def cmd_kl_table(args) -> int:
     system, label = _load_system(args)
     algebra = HeckeAlgebra(system)
-    rows = []
-    for x in range(system.size):
-        kl = algebra.kl_basis(x)
-        for y in sorted(kl.terms):
-            rows.append((y, x, kl.terms[y]))
-    if args.format == "json":
-        _print_json({
-            "system": label,
-            "rows": [
-                {"y": system.word_str(y), "x": system.word_str(x), "h": p.to_pairs()}
-                for y, x, p in rows
-            ],
-        })
-    else:
-        print("# y\tx\th")
-        for y, x, p in rows:
-            print(f"{system.word_str(y)}\t{system.word_str(x)}\t{_poly_str(p)}")
+    # the whole basis is computed before the first line is printed
+    kls = [algebra.kl_basis(x) for x in range(system.size)]
+    rows = ((y, x, kl.terms[y])
+            for x, kl in enumerate(kls) for y in sorted(kl.terms))
+    _print_table(system, args.format, {"system": label}, ("y", "x", "h"),
+                 "# y\tx\th", rows)
     return 0
 
 
@@ -111,24 +123,11 @@ def cmd_parabolic_tables(args) -> int:
     system, label = _load_system(args)
     algebra = HeckeAlgebra(system)
     module = algebra.parabolic(_parse_subset(system, args.subset))
-    rows = []
-    for x in module.reps:
-        pkl = module.kl_basis(x)
-        for y in sorted(pkl.terms):
-            rows.append((y, x, pkl.terms[y]))
-    if args.format == "json":
-        _print_json({
-            "system": label,
-            "subset": module.subset_labels(),
-            "rows": [
-                {"y": system.word_str(y), "x": system.word_str(x), "h": p.to_pairs()}
-                for y, x, p in rows
-            ],
-        })
-    else:
-        print("# y\tx\th^I")
-        for y, x, p in rows:
-            print(f"{system.word_str(y)}\t{system.word_str(x)}\t{_poly_str(p)}")
+    pkls = [(x, module.kl_basis(x)) for x in module.reps]
+    rows = ((y, x, pkl.terms[y]) for x, pkl in pkls for y in sorted(pkl.terms))
+    _print_table(system, args.format,
+                 {"system": label, "subset": module.subset_labels()},
+                 ("y", "x", "h"), "# y\tx\th^I", rows)
     return 0
 
 
@@ -141,19 +140,9 @@ def cmd_inverse_tables(args) -> int:
         for x in module.reps:
             if system.bruhat_leq(x, z):
                 rows.append((x, z, module.inverse_kl(x, z)))
-    if args.format == "json":
-        _print_json({
-            "system": label,
-            "subset": module.subset_labels(),
-            "rows": [
-                {"x": system.word_str(x), "z": system.word_str(z), "g": p.to_pairs()}
-                for x, z, p in rows
-            ],
-        })
-    else:
-        print("# x\tz\tg^I")
-        for x, z, p in rows:
-            print(f"{system.word_str(x)}\t{system.word_str(z)}\t{_poly_str(p)}")
+    _print_table(system, args.format,
+                 {"system": label, "subset": module.subset_labels()},
+                 ("x", "z", "g"), "# x\tz\tg^I", rows)
     return 0
 
 
@@ -197,7 +186,7 @@ def cmd_hom_rank(args) -> int:
             "rank": rank.to_pairs(),
         })
     else:
-        print(_poly_str(rank))
+        print(rank)
     return 0
 
 
@@ -214,7 +203,7 @@ def cmd_example_a3(args) -> int:
     else:
         print("# y\tcoefficient")
         for y, c in char.items():
-            print(f"{system.word_str(y)}\t{_poly_str(c)}")
+            print(f"{system.word_str(y)}\t{c}")
         print(f"verdict\t{'perverse' if perverse else 'not perverse'}")
     return 0
 

@@ -254,8 +254,10 @@ class CoxeterSystem:
     """A fully enumerated finite Coxeter system.  Build with `build`.
 
     Immutable after construction except the lazily filled Bruhat and
-    coset memo tables, whose entries are deterministic values written
-    atomically; queries are therefore safe to issue concurrently.
+    coset memo tables and the word-string table `_word_strs` (the
+    dotted word of each element, filled on first use by `word_str`),
+    whose entries are deterministic values written atomically; queries
+    are therefore safe to issue concurrently.
     """
 
     def __init__(self, matrix: CoxeterMatrix, lengths, words, right, left, inv):
@@ -273,6 +275,7 @@ class CoxeterSystem:
         self._bruhat: dict[tuple[int, int], bool] = {}
         self._subgroup: dict[frozenset[int], tuple[int, ...]] = {}
         self._min_reps: dict[frozenset[int], tuple[int, ...]] = {}
+        self._word_strs: dict[int, str] = {}
 
     # -- generators and words ---------------------------------------------
 
@@ -293,8 +296,12 @@ class CoxeterSystem:
         raise ValueError(f"unknown generator label {label!r}")
 
     def word_str(self, w: int) -> str:
-        word = self.words[w]
-        return ".".join(self.gen_label(s) for s in word) if word else "e"
+        text = self._word_strs.get(w)
+        if text is None:
+            word = self.words[w]
+            text = ".".join(self.gen_label(s) for s in word) if word else "e"
+            self._word_strs[w] = text
+        return text
 
     def parse_element(self, text: str) -> int:
         """Read an element from a dotted word like "s1.s2" ("e" = identity)."""

@@ -118,16 +118,19 @@ class HeckeAlgebra:
     """Hecke algebra attached to a CoxeterSystem.
 
     Keeps per-system memo tables: bar of standard basis elements, the
-    Kazhdan-Lusztig basis, and the rows eps(H_w * H_y) that back the
-    bilinear pairing.  Queries are pure in (system, arguments); every
-    memo entry is a deterministic immutable value and single dict writes
-    are atomic, so concurrent queries at worst duplicate work.
+    Kazhdan-Lusztig basis, the interning table `_polys` that maps each
+    KL coefficient to the one shared object standing for every equal
+    entry, and the rows eps(H_w * H_y) that back the bilinear pairing.
+    Queries are pure in (system, arguments); every memo entry is a
+    deterministic immutable value and single dict writes are atomic, so
+    concurrent queries at worst duplicate work.
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._bar_basis: dict[int, dict[int, LaurentPoly]] = {0: {0: ONE}}
         self._kl: dict[int, HeckeElt] = {}
+        self._polys: dict[LaurentPoly, LaurentPoly] = {}
         self._eps_rows: dict[int, dict[int, LaurentPoly]] = {}
         self._ideal: dict[frozenset[int], HeckeElt] = {}
         self._parabolic: dict[frozenset[int], object] = {}
@@ -243,7 +246,9 @@ class HeckeAlgebra:
 
             KL_x = KL_s KL_{sx} - sum_z mu(z, sx) KL_z
 
-        over z < sx with sz < z, where mu is the coefficient of v.
+        over z < sx with sz < z, where mu is the coefficient of v.  The
+        sum is taken in place in the fresh terms of KL_s KL_{sx}, and each
+        coefficient is then replaced by its interned copy.
         """
         cached = self._kl.get(x)
         if cached is not None:
@@ -256,12 +261,16 @@ class HeckeAlgebra:
             y = sys._left[x][s]
             below = self.kl_basis(y)
             result = self.kl_gen_mult(s, below)
-            for z, hzy in sorted(below.terms.items()):
+            for z, hzy in below.terms.items():
                 if z == y:
                     continue
                 m = hzy.coeff(1)
                 if m and sys.lengths[sys._left[z][s]] < sys.lengths[z]:
-                    result = result - m * self.kl_basis(z)
+                    for w, p in self.kl_basis(z).terms.items():
+                        _acc(result.terms, w, p * -m)
+        polys = self._polys
+        for w, p in result.terms.items():
+            result.terms[w] = polys.setdefault(p, p)
         self._kl[x] = result
         return result
 

@@ -4,7 +4,10 @@ The ring Z[v, v^-1] is the coefficient ring for everything downstream:
 Kazhdan-Lusztig polynomials, graded ranks, Poincare polynomials.  A
 polynomial is a sparse map exponent -> coefficient with no zero entries
 stored, so structural equality of the maps is equality in the ring.
-Values are immutable and safe to share.
+Values are immutable and shared across table entries: a Hecke algebra
+interns the coefficients of its KL basis, so one object stands for every
+equal entry.  The map `_c` must never be mutated; code that builds a
+polynomial fills a fresh dict and wraps it.
 """
 
 from __future__ import annotations
@@ -133,21 +136,31 @@ class LaurentPoly:
 
     def __mul__(self, other: PolyLike) -> "LaurentPoly":
         if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        elif not isinstance(other, LaurentPoly):
+            # a zero factor must leave no zero coefficients behind
+            p = LaurentPoly.__new__(LaurentPoly)
+            p._c = {e: k * other for e, k in self._c.items()} if other else {}
+            return p
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._c, other._c
         if len(a) > len(b):
             a, b = b, a
         c: dict[int, int] = {}
-        for e1, k1 in a.items():
-            for e2, k2 in b.items():
-                e = e1 + e2
-                k = c.get(e, 0) + k1 * k2
-                if k:
-                    c[e] = k
-                elif e in c:
-                    del c[e]
+        if len(a) == 1:
+            # a monomial factor shifts and scales: no two products share
+            # an exponent, and Z has no zero divisors
+            for e1, k1 in a.items():
+                for e2, k2 in b.items():
+                    c[e1 + e2] = k1 * k2
+        else:
+            for e1, k1 in a.items():
+                for e2, k2 in b.items():
+                    e = e1 + e2
+                    k = c.get(e, 0) + k1 * k2
+                    if k:
+                        c[e] = k
+                    elif e in c:
+                        del c[e]
         p = LaurentPoly.__new__(LaurentPoly)
         p._c = c
         return p

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -123,6 +124,46 @@ def test_verify_json(capsys):
     obj = json.loads(out)
     assert obj["suites"][0]["name"] == "pairing"
     assert obj["suites"][0]["passed"] is True
+
+
+# Digests of stdout recorded before the table commands shared one row
+# printer; any change in row order, word or polynomial text shows here.
+TABLE_DIGESTS = [
+    (("kl-table", "--type", "B3"),
+     "08a2b79b3815849294cf4ca9cb1514afa0b5676e1a51abbd838186f3c6e0f5b0"),
+    (("kl-table", "--type", "A3", "--format", "json"),
+     "ef7a84f97b7f27cfc99fe68a3a239790bda40ee489a3809719c4cf67deff4bd9"),
+    (("parabolic-tables", "--type", "B3", "--subset", "s1"),
+     "e9367754cd28c694609e0bad5fb7ca40b528b91d62707cd89d21ab6a9bbf44e0"),
+    (("inverse-tables", "--type", "B3", "--subset", "s2,s3"),
+     "0d533dd6542f43481645320057853cf765fed18110a4f21513d93370013b5844"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", TABLE_DIGESTS,
+                         ids=[" ".join(a) for a, _ in TABLE_DIGESTS])
+def test_table_output_digest(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_table_error_prints_no_rows(capsys, monkeypatch):
+    from heckekit.parabolic import NotInIdeal, ParabolicModule
+
+    original = ParabolicModule.kl_basis
+
+    def failing(self, x):
+        if x == self.reps[-1]:
+            raise NotInIdeal("injected")
+        return original(self, x)
+
+    monkeypatch.setattr(ParabolicModule, "kl_basis", failing)
+    code, out, err = run_cli(capsys, "parabolic-tables", "--type", "A2",
+                             "--subset", "s1")
+    assert code == 2
+    assert out == ""
+    assert "injected" in err
 
 
 # -- error paths --------------------------------------------------------------

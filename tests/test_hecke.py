@@ -272,3 +272,34 @@ def test_mult_bilinear_in_scalars(c, d):
     h1 = H.kl_basis(1)
     h2 = H.kl_basis(2)
     assert H.mult(c * h1, d * h2) == (c * d) * H.mult(h1, h2)
+
+
+# -- in-place accumulation and interned coefficients ---------------------------------
+
+
+def test_kl_table_independent_of_fill_order():
+    up = HeckeAlgebra(build_named("B3"))
+    down = HeckeAlgebra(build_named("B3"))
+    n = up.system.size
+
+    def frozen(alg, x):
+        # copies every coefficient map, so a later in-place change shows
+        return {w: p.to_pairs() for w, p in alg.kl_basis(x).terms.items()}
+
+    snapshots = {x: frozen(up, x) for x in range(8)}
+    for x in range(n):
+        up.kl_basis(x)
+    for x in reversed(range(n)):
+        down.kl_basis(x)
+    for x in range(n):
+        assert up.kl_basis(x).terms == down.kl_basis(x).terms
+    for x, snap in snapshots.items():
+        assert frozen(up, x) == snap
+
+
+def test_kl_coefficients_are_interned():
+    H = HeckeAlgebra(build_named("B3"))
+    seen = {}
+    for x in range(H.system.size):
+        for p in H.kl_basis(x).terms.values():
+            assert seen.setdefault(p, p) is p

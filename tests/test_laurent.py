@@ -127,3 +127,58 @@ def test_bar_is_ring_homomorphism(a, b):
 @given(polys, nonzero_polys)
 def test_div_exact_roundtrip(a, b):
     assert div_exact(a * b, b) == a
+
+
+# -- fast paths of __mul__: integer and monomial factors -------------------------
+
+monomials = st.builds(
+    LaurentPoly.monomial, st.integers(-6, 6), st.integers(-9, 9).filter(bool)
+)
+
+
+def _general_product(a, b):
+    """The convolution written out, independent of any fast path."""
+    out = {}
+    for e1, k1 in a.items():
+        for e2, k2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + k1 * k2
+    return LaurentPoly(out)
+
+
+@given(polys, st.integers(-20, 20))
+def test_int_factor_agrees_with_const(p, k):
+    expected = p * LaurentPoly.const(k)
+    assert p * k == expected
+    assert k * p == expected
+    assert 0 not in (p * k)._c.values()
+
+
+@given(polys)
+def test_zero_int_factor_is_empty(p):
+    for q in (p * 0, 0 * p, p * ZERO, ZERO * p):
+        assert q == ZERO
+        assert q._c == {}
+
+
+@given(polys, monomials)
+def test_monomial_factor_agrees_with_general_product(p, m):
+    expected = _general_product(p, m)
+    assert p * m == expected
+    assert m * p == expected
+    assert 0 not in (p * m)._c.values()
+
+
+@given(polys, polys)
+def test_products_store_no_zero_coefficients(a, b):
+    assert a * b == _general_product(a, b)
+    assert 0 not in (a * b)._c.values()
+
+
+@given(polys)
+def test_equal_polys_hash_equally(p):
+    # build an equal value with the opposite insertion order
+    q = LaurentPoly(dict(reversed(list(p._c.items()))))
+    assert p == q
+    assert hash(p) == hash(q)
+    assert hash(p * 1) == hash(p)
+    assert {p: "x"}[q] == "x"
