@@ -22,7 +22,6 @@ from .rouquier import (
     e_shape,
     euler_hom,
     f_shape,
-    rouquier_character,
     shape_character,
 )
 from .soergel import (
@@ -44,8 +43,7 @@ __all__ = [
     "UnsupportedBond", "build", "build_named",
     "HeckeAlgebra", "HeckeElt",
     "NotInIdeal", "ParabolicElt", "ParabolicModule",
-    "ComplexShape", "e_shape", "euler_hom", "f_shape", "rouquier_character",
-    "shape_character",
+    "ComplexShape", "e_shape", "euler_hom", "f_shape", "shape_character",
     "Character", "bott_samelson_char", "delta_char", "graded_hom_rank",
     "is_perverse", "kl_decompose", "support_graded_ranks",
     "SUITES", "SuiteResult", "run_suites",

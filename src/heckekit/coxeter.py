@@ -256,8 +256,7 @@ class CoxeterSystem:
     Immutable after construction except the lazily filled Bruhat and
     coset memo tables and the word-string table `_word_strs` (the
     dotted word of each element, filled on first use by `word_str`),
-    whose entries are deterministic values written atomically; queries
-    are therefore safe to issue concurrently.
+    whose entries are deterministic values.
     """
 
     def __init__(self, matrix: CoxeterMatrix, lengths, words, right, left, inv):
@@ -384,10 +383,6 @@ class CoxeterSystem:
             if not 0 <= s < self.rank:
                 raise ValueError(f"generator index {s} out of range")
         return out
-
-    def is_finitary(self, subset: Iterable[int]) -> bool:
-        self.subset(subset)
-        return True  # every subgroup of a finite group is finite
 
     def subgroup(self, subset: Iterable[int]) -> tuple[int, ...]:
         """Elements of W_I in enumeration order (canonical word uses only I)."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from .coxeter import CoxeterSystem
-from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly
+from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot
 
 _V_MINUS_VINV = V - V_INV
 _VINV_MINUS_V = V_INV - V
@@ -118,12 +118,9 @@ class HeckeAlgebra:
     """Hecke algebra attached to a CoxeterSystem.
 
     Keeps per-system memo tables: bar of standard basis elements, the
-    Kazhdan-Lusztig basis, the interning table `_polys` that maps each
+    Kazhdan-Lusztig basis and the interning table `_polys` that maps each
     KL coefficient to the one shared object standing for every equal
-    entry, and the rows eps(H_w * H_y) that back the bilinear pairing.
-    Queries are pure in (system, arguments); every memo entry is a
-    deterministic immutable value and single dict writes are atomic, so
-    concurrent queries at worst duplicate work.
+    entry.  Queries are pure in (system, arguments).
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -131,7 +128,6 @@ class HeckeAlgebra:
         self._bar_basis: dict[int, dict[int, LaurentPoly]] = {0: {0: ONE}}
         self._kl: dict[int, HeckeElt] = {}
         self._polys: dict[LaurentPoly, LaurentPoly] = {}
-        self._eps_rows: dict[int, dict[int, LaurentPoly]] = {}
         self._ideal: dict[frozenset[int], HeckeElt] = {}
         self._parabolic: dict[frozenset[int], object] = {}
 
@@ -294,48 +290,13 @@ class HeckeAlgebra:
         return h.terms.get(0, ZERO)
 
     def pairing(self, h1: HeckeElt, h2: HeckeElt) -> LaurentPoly:
-        """(h1, h2) = eps(a(h1) * h2).
+        """(h1, h2) = eps(a(h1) * h2) = sum_w h1_w * h2_w.
 
-        Evaluated bilinearly through cached rows eps(H_w * H_y); each row
-        is computed once by honest standard-basis multiplication.
+        The standard basis is orthonormal, eps(H_{x^-1} H_y) = delta_{x,y}
+        (the `pairing` verify suite multiplies every such product out), so
+        the pairing is the coefficient dot product.
         """
-        total = ZERO
-        inv = self.system._inv
-        for x, c in h1.terms.items():
-            row = self._eps_row(inv[x])
-            if len(row) < len(h2.terms):
-                for y, g in row.items():
-                    d = h2.terms.get(y)
-                    if d is not None:
-                        total = total + c * d * g
-            else:
-                for y, d in h2.terms.items():
-                    g = row.get(y)
-                    if g is not None:
-                        total = total + c * d * g
-        return total
-
-    def _eps_row(self, w: int) -> dict[int, LaurentPoly]:
-        cached = self._eps_rows.get(w)
-        if cached is not None:
-            return cached
-        sys = self.system
-        # products H_w * H_y for all y, sharing length-reducing prefixes
-        prods: list[dict[int, LaurentPoly] | None] = [None] * sys.size
-        prods[0] = {w: ONE}
-        row: dict[int, LaurentPoly] = {}
-        if w == 0:
-            row[0] = ONE
-        for y in range(1, sys.size):
-            word = sys.words[y]
-            s = word[-1]
-            shorter = sys._right[y][s]
-            prods[y] = self._gen_right_raw(prods[shorter], s)
-            c = prods[y].get(0)
-            if c:
-                row[y] = c
-        self._eps_rows[w] = row
-        return row
+        return dot(h1.terms, h2.terms)
 
     # -- parabolic ideal generator -------------------------------------------------
 

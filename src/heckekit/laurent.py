@@ -248,6 +248,27 @@ def div_exact(a: PolyLike, b: PolyLike) -> LaurentPoly:
     return LaurentPoly({e + da - db: k for e, k in q.items()})
 
 
+def dot(a: Mapping[int, LaurentPoly], b: Mapping[int, LaurentPoly]) -> LaurentPoly:
+    """sum_w a_w * b_w over two sparse maps of polynomials.
+
+    Walks the shorter map and sums every product into one exponent map,
+    so no intermediate polynomial is built.
+    """
+    if len(b) < len(a):
+        a, b = b, a
+    c: dict[int, int] = {}
+    for w, p in a.items():
+        q = b.get(w)
+        if q is not None:
+            for e1, k1 in p._c.items():
+                for e2, k2 in q._c.items():
+                    e = e1 + e2
+                    c[e] = c.get(e, 0) + k1 * k2
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._c = {e: k for e, k in c.items() if k}
+    return out
+
+
 def vpow(exp: int, coeff: int = 1) -> LaurentPoly:
     """The monomial coeff * v^exp."""
     return LaurentPoly.monomial(exp, coeff)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from .hecke import HeckeAlgebra, HeckeElt, _acc
-from .laurent import LaurentPoly, ONE, ZERO, _as_poly, vpow
+from .laurent import LaurentPoly, ONE, ZERO, _as_poly, dot, vpow
 
 
 class NotInIdeal(ValueError):
@@ -104,12 +104,6 @@ class ParabolicModule:
         self._wi_elems = self.system.subgroup(self.subset)
         self._pkl: dict[int, ParabolicElt] = {}
         self._g: dict[tuple[int, int], LaurentPoly] = {}
-        self._embed_std: dict[int, HeckeElt] = {}
-        self._bar_embed_std: dict[int, HeckeElt] = {}
-        self._embed_kl: dict[int, HeckeElt] = {}
-        self._bar_embed_kl: dict[int, HeckeElt] = {}
-        self._std_gram: dict[int, dict[int, LaurentPoly]] = {}
-        self._kl_gram: dict[int, dict[int, LaurentPoly]] = {}
 
     def poincare(self) -> LaurentPoly:
         return self.system.poincare(self.subset)
@@ -229,79 +223,39 @@ class ParabolicModule:
         self._g[key] = result
         return result
 
-    # -- pairing of embedded basis elements ------------------------------------------
+    # -- Hom pairings over W^I ----------------------------------------------------
 
-    # The Hecke pairing is bilinear and bar is semilinear, so the pairing
-    # of embedded module elements expands over basis pairs:
-    #     ( embed(P), bar(embed(Q)) )
-    #       = sum_{y,z} P_y bar(Q_z) ( embed(B_y), bar(embed(B_z)) )
-    # for either basis B.  The basis pairings are computed once through
-    # the honest eps-after-multiplication route and memoized as sparse
-    # rows; the expansion itself assumes nothing beyond bilinearity.
-
-    def _embedded_std(self, y: int) -> HeckeElt:
-        h = self._embed_std.get(y)
-        if h is None:
-            h = self.embed(self.delta(y))
-            self._embed_std[y] = h
-        return h
-
-    def _embedded_std_bar(self, z: int) -> HeckeElt:
-        h = self._bar_embed_std.get(z)
-        if h is None:
-            h = self.algebra.bar(self._embedded_std(z))
-            self._bar_embed_std[z] = h
-        return h
-
-    def _embedded_kl(self, y: int) -> HeckeElt:
-        h = self._embed_kl.get(y)
-        if h is None:
-            h = self.embed(self.kl_basis(y))
-            self._embed_kl[y] = h
-        return h
-
-    def _embedded_kl_bar(self, z: int) -> HeckeElt:
-        h = self._bar_embed_kl.get(z)
-        if h is None:
-            h = self.algebra.bar(self._embedded_kl(z))
-            self._bar_embed_kl[z] = h
-        return h
-
-    def _gram_row(self, cache, embed_of, bar_embed_of, y: int):
-        row = cache.get(y)
-        if row is None:
-            pairing = self.algebra.pairing
-            hy = embed_of(y)
-            row = {}
-            for z in self.reps:
-                val = pairing(hy, bar_embed_of(z))
-                if val:
-                    row[z] = val
-            cache[y] = row
-        return row
+    # embed(P_x) = sum_u v^(l(w_I) - l(u)) H_{x u} over u in W_I, and the
+    # cosets x W_I are disjoint, so under the orthonormal pairing of H
+    #     ( embed(P), embed(Q) ) = pi_I * sum_x P_x Q_x,
+    # where pi_I = sum_u v^(2 l(u)) is the Poincare polynomial of W_I.
+    # embed(PKL_z) = KL_{z w_I} is bar-invariant, so bar(embed(Q)) is the
+    # embedding of bar_I Q = sum_z bar(b_z) PKL_z for Q = sum_z b_z PKL_z.
+    # Both forms below are these pairings divided by pi_I.
 
     def pair_embedded_std(self, p_terms: Mapping[int, LaurentPoly],
-                          q_terms: Mapping[int, LaurentPoly]) -> LaurentPoly:
-        """(embed(P), bar(embed(Q))) for standard-basis coefficient maps."""
-        total = ZERO
-        for y, c in p_terms.items():
-            row = self._gram_row(self._std_gram, self._embedded_std,
-                                 self._embedded_std_bar, y)
-            for z, val in row.items():
-                d = q_terms.get(z)
-                if d is not None:
-                    total = total + c * d.bar() * val
-        return total
+                          q_bar_terms: Mapping[int, LaurentPoly]) -> LaurentPoly:
+        """(embed(P), bar(embed(Q))) / pi_I = sum_w P_w (bar_I Q)_w.
+
+        Both maps are standard-basis coefficients; the second is the
+        bar-twisted bar_I Q = sum_z bar(b_z) PKL_z, not Q itself.
+        """
+        return dot(p_terms, q_bar_terms)
 
     def pair_embedded_kl(self, p_coeffs: Mapping[int, LaurentPoly],
                          q_coeffs: Mapping[int, LaurentPoly]) -> LaurentPoly:
-        """(embed(P), bar(embed(Q))) for KL-basis coefficient maps."""
+        """(embed(P), bar(embed(Q))) / pi_I for KL-basis coefficient maps:
+
+            sum_{y,z} p_y bar(q_z) sum_w h^I_{w,y} h^I_{w,z},
+
+        the Hom formula for singular Soergel bimodules; each column dot
+        runs over the shorter of the two parabolic KL columns.
+        """
         total = ZERO
         for y, c in p_coeffs.items():
-            row = self._gram_row(self._kl_gram, self._embedded_kl,
-                                 self._embedded_kl_bar, y)
-            for z, val in row.items():
-                d = q_coeffs.get(z)
-                if d is not None:
-                    total = total + c * d.bar() * val
+            col_y = self.kl_basis(y).terms
+            for z, d in q_coeffs.items():
+                hom = dot(col_y, self.kl_basis(z).terms)
+                if hom:
+                    total = total + c * d.bar() * hom
         return total

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .laurent import LaurentPoly, ONE, ZERO, div_exact, vpow
+# div_exact: see the note in rouquier.py.
+from .laurent import LaurentPoly, ONE, ZERO, div_exact, vpow  # noqa: F401
 from .parabolic import ParabolicElt, ParabolicModule
 
 
@@ -108,14 +109,17 @@ def bott_samelson_char(module: ParabolicModule, word) -> Character:
 
 
 def graded_hom_rank(c1: Character, c2: Character) -> LaurentPoly:
-    """Graded rank of the Hom space between objects with these characters:
-    the Hecke pairing of the embedded characters, second one bar-twisted,
-    divided by the Poincare polynomial of W_I."""
+    """Graded rank of the Hom space between objects with these characters.
+
+    By the Hom formula, grk Hom(B_x, B_y) = sum_z h^I_{z,x} h^I_{z,y} over
+    W^I, extended bilinearly with the second character bar-twisted.  It
+    equals the Hecke pairing of the embedded characters divided by the
+    Poincare polynomial of W_I, because the standard basis of H is
+    orthonormal (see `ParabolicModule.pair_embedded_kl`).
+    """
     if c1.module is not c2.module:
         raise ValueError("characters live over different parabolic modules")
-    module = c1.module
-    paired = module.pair_embedded_kl(c1.coeffs, c2.coeffs)
-    return div_exact(paired, module.poincare())
+    return c1.module.pair_embedded_kl(c1.coeffs, c2.coeffs)
 
 
 def support_graded_ranks(p: ParabolicElt) -> dict[int, LaurentPoly]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .hecke import HeckeAlgebra
 from .laurent import ONE, ZERO
-from .rouquier import e_shape, f_shape, rouquier_character, shape_character, euler_hom
+from .rouquier import e_shape, f_shape, shape_character, euler_hom
 from .soergel import bott_samelson_char
 
 DEFAULT_BS_WORDS = 40
@@ -151,7 +151,7 @@ def suite_euler_hom(algebra: HeckeAlgebra, **_) -> SuiteResult:
         fs = {x: f_shape(mod, x) for x in mod.reps}
         es = {x: e_shape(mod, x) for x in mod.reps}
         for x in mod.reps:
-            res.check(shape_character(fs[x]) == rouquier_character(mod, x),
+            res.check(shape_character(fs[x]) == mod.delta(x),
                       lambda x=x, subset=subset:
                       f"I={_subset_str(algebra, subset)} shape character of "
                       f"{sys.word_str(x)} is not the standard basis element")
@@ -182,17 +182,27 @@ def suite_q_monotonicity(algebra: HeckeAlgebra, **_) -> SuiteResult:
 
 
 def suite_pairing(algebra: HeckeAlgebra, **_) -> SuiteResult:
-    """Orthonormality of the standard basis under the bilinear pairing."""
+    """Orthonormality of the standard basis, on which `pairing` rests:
+    the trace eps(H_{x^-1} H_y), multiplied out in the standard basis,
+    and the pairing (H_x, H_y) both equal delta_{x,y}."""
     res = SuiteResult("pairing")
     sys = algebra.system
     for x in range(sys.size):
         hx = algebra.std(x)
+        # H_{x^-1} H_y for every y, each one generator past H_{x^-1} H_{ys}
+        prods = [{sys._inv[x]: ONE}]
+        for y in range(1, sys.size):
+            s = sys.words[y][-1]
+            prods.append(algebra._gen_right_raw(prods[sys._right[y][s]], s))
         for y in range(sys.size):
+            trace = prods[y].get(0, ZERO)
             val = algebra.pairing(hx, algebra.std(y))
             expected = ONE if x == y else ZERO
-            res.check(val == expected,
-                      lambda x=x, y=y:
-                      f"(H[{sys.word_str(x)}], H[{sys.word_str(y)}]) = {val}")
+            res.check(trace == expected and val == expected,
+                      lambda x=x, y=y, trace=trace, val=val:
+                      f"eps(a(H[{sys.word_str(x)}]) H[{sys.word_str(y)}]) = "
+                      f"{trace}, (H[{sys.word_str(x)}], H[{sys.word_str(y)}]) "
+                      f"= {val}")
     return res
 
 

@@ -3,8 +3,11 @@
 Each oracle recomputes a quantity along a path disjoint from the library
 implementation it checks: the KL coefficients by solving the
 bar-invariance system directly, the Bruhat order by the subword
-property, and basis decompositions by a standalone back-substitution.
+property, basis decompositions by a standalone back-substitution, and
+the bilinear pairing by multiplying out eps(a(h1) h2).
 """
+
+import functools
 
 from heckekit.laurent import LaurentPoly, ONE, ZERO
 
@@ -90,3 +93,37 @@ def signed_inverse_from_decomposition(module, x):
         sign = -1 if (sys.lengths[y] - sys.lengths[x]) % 2 else 1
         out[y] = sign * c
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _eps_row(algebra, w):
+    """{y: eps(H_w H_y)} over all y with a nonzero trace.
+
+    The products H_w H_y are built in enumeration order, each from
+    H_w H_{ys} by one right multiplication by a generator s (the last
+    letter of the canonical word of y), so prefixes are shared.
+    """
+    sys = algebra.system
+    prods = [{w: ONE}]
+    row = {0: ONE} if w == 0 else {}
+    for y in range(1, sys.size):
+        s = sys.words[y][-1]
+        prods.append(algebra._gen_right_raw(prods[sys._right[y][s]], s))
+        c = prods[y].get(0)
+        if c:
+            row[y] = c
+    return row
+
+
+def trace_pairing(algebra, h1, h2):
+    """(h1, h2) = eps(a(h1) h2) expanded bilinearly over the traces
+    eps(H_{x^-1} H_y) of honest standard-basis products; assumes nothing
+    about orthonormality."""
+    inv = algebra.system._inv
+    total = ZERO
+    for x, c in h1.terms.items():
+        for y, g in _eps_row(algebra, inv[x]).items():
+            d = h2.terms.get(y)
+            if d is not None:
+                total = total + c * d * g
+    return total

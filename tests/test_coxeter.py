@@ -209,12 +209,11 @@ def test_projection_monotone(sys_of):
                     )
 
 
-def test_is_finitary_and_subset_validation(sys_of):
+def test_subset_validation(sys_of):
     W = sys_of("A3")
-    assert W.is_finitary([])
-    assert W.is_finitary([0, 1, 2])
+    assert W.subset([0, 1, 2]) == frozenset({0, 1, 2})
     with pytest.raises(ValueError):
-        W.is_finitary([5])
+        W.subset([5])
     with pytest.raises(ValueError):
         W.mult_gen(0, 0, side="sideways")
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from heckekit import HeckeAlgebra, build_named
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 
-from oracles import bar_solve_kl
+from oracles import bar_solve_kl, trace_pairing
 
 
 def _word_elt(alg, *gens):
@@ -198,6 +198,7 @@ def test_pairing_orthonormal(alg_of, name):
     for x in range(H.system.size):
         for y in range(H.system.size):
             expected = ONE if x == y else ZERO
+            assert trace_pairing(H, H.std(x), H.std(y)) == expected
             assert H.pairing(H.std(x), H.std(y)) == expected
 
 

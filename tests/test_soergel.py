@@ -4,6 +4,7 @@ import random
 import pytest
 
 from heckekit import (
+    Character,
     bott_samelson_char,
     delta_char,
     graded_hom_rank,
@@ -13,7 +14,9 @@ from heckekit import (
 )
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, div_exact, vpow
 
-from oracles import decompose_in_kl_basis
+from oracles import decompose_in_kl_basis, trace_pairing
+
+CROSS_ROUTE_TYPES = ["A1xA1", "A2", "B2", "A3", "B3", "I2(5)", "I2(7)"]
 
 
 def _all_subsets(rank):
@@ -156,21 +159,32 @@ def test_hom_rank_off_diagonal_vanishing(alg_of):
                 assert r.coeff(0) == (1 if x == y else 0)
 
 
+def _random_poly(rng):
+    return LaurentPoly({rng.randint(-2, 2): rng.choice([-2, -1, 1, 2, 3])
+                        for _ in range(rng.randint(1, 3))})
+
+
+def _random_char(M, rng):
+    return Character(M, {rng.choice(M.reps): _random_poly(rng)
+                         for _ in range(rng.randint(1, 3))})
+
+
 def test_hom_rank_matches_direct_composition(alg_of):
-    H = alg_of("A3")
-    M = H.parabolic([0, 1])
+    # the route through H: embed both characters, bar the second, take
+    # the multiplied-out trace pairing and divide by the Poincare polynomial
     rng = random.Random(12)
-    for _ in range(6):
-        c1 = kl_decompose(M.elt({
-            rng.choice(M.reps): LaurentPoly({rng.randint(-1, 1): rng.randint(1, 3)})
-        }))
-        c2 = kl_decompose(M.elt({
-            rng.choice(M.reps): LaurentPoly({rng.randint(-1, 1): rng.randint(1, 3)})
-        }))
-        h1 = M.embed(c1.to_parabolic())
-        h2 = H.bar(M.embed(c2.to_parabolic()))
-        direct = div_exact(H.pairing(h1, h2), M.poincare())
-        assert graded_hom_rank(c1, c2) == direct
+    for name in CROSS_ROUTE_TYPES:
+        H = alg_of(name)
+        for subset in _all_subsets(H.system.rank):
+            M = H.parabolic(subset)
+            pairs = [(_random_char(M, rng), _random_char(M, rng)) for _ in range(4)]
+            pairs.append((delta_char(M, rng.choice(M.reps)),
+                          delta_char(M, rng.choice(M.reps))))
+            for c1, c2 in pairs:
+                h1 = M.embed(c1.to_parabolic())
+                h2 = H.bar(M.embed(c2.to_parabolic()))
+                direct = div_exact(trace_pairing(H, h1, h2), M.poincare())
+                assert graded_hom_rank(c1, c2) == direct, (name, subset, c1, c2)
 
 
 def test_hom_rank_diagonal_shape_empty_subset(alg_of):
@@ -253,8 +267,6 @@ def test_delta_is_perverse(alg_of):
 
 
 def test_shifted_delta_not_perverse(alg_of):
-    from heckekit.soergel import Character
-
     H = alg_of("A3")
     M = H.parabolic([0, 1])
     assert not is_perverse(Character(M, {0: V}))
