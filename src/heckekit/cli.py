@@ -135,11 +135,9 @@ def cmd_inverse_tables(args) -> int:
     system, label = _load_system(args)
     algebra = HeckeAlgebra(system)
     module = algebra.parabolic(_parse_subset(system, args.subset))
-    rows = []
-    for z in module.reps:
-        for x in module.reps:
-            if system.bruhat_leq(x, z):
-                rows.append((x, z, module.inverse_kl(x, z)))
+    # all rows come before the first line is printed; g[x] has a key at each z >= x
+    g = {x: module.inverse_row(x) for x in module.reps}
+    rows = ((x, z, g[x][z]) for z in module.reps for x in module.reps if z in g[x])
     _print_table(system, args.format,
                  {"system": label, "subset": module.subset_labels()},
                  ("x", "z", "g"), "# x\tz\tg^I", rows)

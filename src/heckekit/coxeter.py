@@ -253,10 +253,10 @@ def _dihedral_gens(matrix: CoxeterMatrix):
 class CoxeterSystem:
     """A fully enumerated finite Coxeter system.  Build with `build`.
 
-    Immutable after construction except the lazily filled Bruhat and
-    coset memo tables and the word-string table `_word_strs` (the
-    dotted word of each element, filled on first use by `word_str`),
-    whose entries are deterministic values.
+    Immutable after construction except the lazily filled coset memo
+    tables and the word-string table `_word_strs` (the dotted word of
+    each element, filled on first use by `word_str`), whose entries are
+    deterministic values.
     """
 
     def __init__(self, matrix: CoxeterMatrix, lengths, words, right, left, inv):
@@ -271,7 +271,6 @@ class CoxeterSystem:
         if self.size > 1 and lengths[-1] == lengths[-2]:
             raise RuntimeError("no unique longest element; enumeration is broken")
         self.longest = self.size - 1
-        self._bruhat: dict[tuple[int, int], bool] = {}
         self._subgroup: dict[frozenset[int], tuple[int, ...]] = {}
         self._min_reps: dict[frozenset[int], tuple[int, ...]] = {}
         self._word_strs: dict[int, str] = {}
@@ -355,25 +354,20 @@ class CoxeterSystem:
     # -- Bruhat order --------------------------------------------------------
 
     def bruhat_leq(self, x: int, y: int) -> bool:
-        """Bruhat order via the descent recursion, memoized."""
-        if x == y or x == 0:
-            return True
-        lx, ly = self.lengths[x], self.lengths[y]
-        if lx >= ly:
-            return False
-        key = (x, y)
-        cached = self._bruhat.get(key)
-        if cached is not None:
-            return cached
-        s = self.words[y][0]  # smallest left descent of y
-        sy = self._left[y][s]
-        sx = self._left[x][s]
-        if self.lengths[sx] < lx:
-            result = self.bruhat_leq(sx, sy)
-        else:
-            result = self.bruhat_leq(x, sy)
-        self._bruhat[key] = result
-        return result
+        """Bruhat order by the descent recursion, a single chain of at most
+        l(y) steps: for s the smallest left descent of y, x <= y iff
+        sx <= sy when sx < x, and x <= sy otherwise."""
+        lengths, left, words = self.lengths, self._left, self.words
+        while x != y and x != 0:
+            lx = lengths[x]
+            if lx >= lengths[y]:
+                return False
+            s = words[y][0]
+            y = left[y][s]
+            sx = left[x][s]
+            if lengths[sx] < lx:
+                x = sx
+        return True
 
     # -- parabolic subgroups and cosets ---------------------------------------
 

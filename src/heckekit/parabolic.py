@@ -2,12 +2,14 @@
 
 Elements are stored in the standard parabolic basis {P_x = H_x KL_{w_I}},
 indexed by the minimal coset representatives x in W^I.  The parabolic KL
-basis is PKL_x = KL_{x w_I}, read back through the ideal; the inverse
-parabolic KL polynomials g_{x,z} solve the triangular system
+basis is PKL_x = KL_{x w_I}, read back through the ideal.  The inverse
+parabolic KL polynomials, the solution g_{x,z} of
 
-    sum_y (-1)^(l(y) - l(x)) g_{x,y} h_{y,z} = delta_{x,z}
+    sum_y (-1)^(l(y) - l(x)) g_{x,y} h_{y,z} = delta_{x,z},
 
-by back-substitution over the Bruhat interval in W^I, with g_{x,x} = 1.
+come by KL duality from one KL element of H per row x:
+g_{x,z} = sum_{u in W_I} (-v)^(l(u)) h_{w0 z w_I u, w0 x w_I}, which for
+I = {} is the classical g_{x,z} = h_{w0 z, w0 x}.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ class ParabolicModule:
         self.ideal_gen = algebra.kl_ideal_generator(self.subset)
         self._wi_elems = self.system.subgroup(self.subset)
         self._pkl: dict[int, ParabolicElt] = {}
-        self._g: dict[tuple[int, int], LaurentPoly] = {}
+        self._rows: dict[int, dict[int, LaurentPoly]] = {}
+        self._dual: dict[int, tuple[int, int, int]] = {}
 
     def poincare(self) -> LaurentPoly:
         return self.system.poincare(self.subset)
@@ -153,20 +156,15 @@ class ParabolicModule:
                 _acc(out, w, c * vpow(self.shift - sys.lengths[u]))
         return HeckeElt(self.algebra, out)
 
-    def extract(self, h: HeckeElt) -> ParabolicElt:
-        """Invert embed on the ideal; raises NotInIdeal otherwise.
-
-        The coefficient of H_y for y in W^I picks out the u = id term of
-        the closed form, so it is v^(l(w_I)) times the parabolic
-        coefficient; the result is validated by re-embedding.
-        """
+    def _restrict(self, terms: Mapping[int, LaurentPoly]) -> dict[int, LaurentPoly]:
+        """Parabolic coefficients: H_y coefficients over v^(l(w_I)), y in W^I."""
         down = vpow(-self.shift)
-        terms: dict[int, LaurentPoly] = {}
-        for y in self.reps:
-            c = h.terms.get(y)
-            if c is not None:
-                terms[y] = c * down
-        p = ParabolicElt(self, terms)
+        return {y: c * down for y in self.reps if (c := terms.get(y)) is not None}
+
+    def extract(self, h: HeckeElt) -> ParabolicElt:
+        """Invert embed on the ideal, validated by re-embedding; raises
+        NotInIdeal otherwise."""
+        p = ParabolicElt(self, self._restrict(h.terms))
         if self.embed(p) != h:
             raise NotInIdeal("element is not in the ideal H * KL_{w_I}")
         return p
@@ -174,14 +172,13 @@ class ParabolicModule:
     # -- parabolic KL basis ---------------------------------------------------------
 
     def kl_basis(self, x: int) -> ParabolicElt:
-        """PKL_x = KL_{x w_I} read through the ideal; unitriangular at x."""
+        """PKL_x: the W^I coefficients of KL_{x w_I}; unitriangular at x."""
         cached = self._pkl.get(x)
         if cached is not None:
             return cached
         self._check_rep(x)
-        top = self.system.mult(x, self.w_long)
-        p = self.extract(self.algebra.kl_basis(top))
-        self._pkl[x] = p
+        kl = self.algebra.kl_basis(self.system.mult(x, self.w_long))
+        p = self._pkl[x] = ParabolicElt(self, self._restrict(kl.terms))
         return p
 
     def kl_poly(self, y: int, x: int) -> LaurentPoly:
@@ -196,32 +193,42 @@ class ParabolicModule:
 
     # -- inverse parabolic KL polynomials ----------------------------------------------
 
-    def inverse_kl(self, x: int, z: int) -> LaurentPoly:
-        """g_{x,z}: back-substitution over [x, z] in W^I; g_{x,x} = 1."""
+    def inverse_row(self, x: int) -> dict[int, LaurentPoly]:
+        """{z: g_{x,z}} for all z >= x in W^I, zero values included.
+
+        m = w0 x w_I is the minimal representative of w0 x W_I.  One pass
+        over the support of KL_m sends each y = w0 z w_I u to the entry of
+        z with the term (-v)^(l(u)) h_{y,m}.  The support is all of [e, m],
+        and the coset w0 z W_I meets it exactly when x <= z, so the keys
+        of the row are the upper Bruhat interval of x in W^I.
+        """
+        if x in self._rows:
+            return self._rows[x]
         self._check_rep(x)
-        self._check_rep(z)
-        if x == z:
-            return ONE
-        if not self.system.bruhat_leq(x, z):
-            return ZERO
-        key = (x, z)
-        cached = self._g.get(key)
-        if cached is not None:
-            return cached
         sys = self.system
-        lx = sys.lengths[x]
-        total = ZERO
-        for y, hyz in self.kl_basis(z).terms.items():
-            if y == z or not sys.bruhat_leq(x, y):
-                continue
-            g = self.inverse_kl(x, y)
-            if g:
-                sign = -1 if (sys.lengths[y] - lx) % 2 else 1
-                total = total + sign * (g * hyz)
-        sign_z = -1 if (sys.lengths[z] - lx) % 2 else 1
-        result = (-sign_z) * total
-        self._g[key] = result
-        return result
+        if not self._dual:
+            # w0 r u' -> (r, l(u), (-1)^l(u)) for r in W^I and u' = w_I u
+            for r in self.reps:
+                w0r = sys.mult(sys.longest, r)
+                for u1 in self._wi_elems:
+                    lu = self.shift - sys.lengths[u1]
+                    self._dual[sys.mult(w0r, u1)] = (r, lu, -1 if lu % 2 else 1)
+        m = sys.mult(sys.mult(sys.longest, x), self.w_long)
+        acc: dict[int, dict[int, int]] = {}
+        for y, h in self.algebra.kl_basis(m).terms.items():
+            z, lu, sign = self._dual[y]
+            c = acc.setdefault(z, {})
+            for e, k in h.items():
+                c[e + lu] = c.get(e + lu, 0) + sign * k
+        row = self._rows[x] = {z: LaurentPoly(c) for z, c in acc.items()}
+        return row
+
+    def inverse_kl(self, x: int, z: int) -> LaurentPoly:
+        """g_{x,z} by KL duality: the z entry of `inverse_row(x)`, so 0
+        unless x <= z, and g_{x,x} = 1."""
+        row = self.inverse_row(x)
+        self._check_rep(z)
+        return row.get(z, ZERO)
 
     # -- Hom pairings over W^I ----------------------------------------------------
 

@@ -147,7 +147,7 @@ def test_bruhat_partial_order_and_lengths(sys_of):
                     assert W.bruhat_leq(x, z)
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "I2(6)"])
+@pytest.mark.parametrize("name", ["A3", "B3", "I2(6)", "A4", "D4"])
 def test_bruhat_against_subword_oracle(sys_of, name):
     W = sys_of(name)
     for y in range(W.size):

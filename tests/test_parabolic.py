@@ -1,10 +1,15 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from heckekit import NotInIdeal
 from heckekit.laurent import LaurentPoly, ONE, V, ZERO, vpow
+
+from oracles import signed_inverse_from_decomposition
+
+CROSS_ROUTE_TYPES = ["A1xA1", "I2(5)", "A3", "B3", "D4"]
 
 
 def _all_subsets(rank):
@@ -128,6 +133,19 @@ def test_pkl_poly_equals_full_kl_poly(alg_of, name):
                 assert M.kl_poly(y, x) == H.kl_poly(W.mult(y, wI), W.mult(x, wI))
 
 
+@pytest.mark.parametrize("name", CROSS_ROUTE_TYPES)
+def test_pkl_embeds_to_full_kl_element(alg_of, name):
+    # kl_basis reads only the W^I coefficients of KL_{x w_I}; the rest of
+    # the element must be what the ideal structure forces
+    H = alg_of(name)
+    W = H.system
+    for subset in _all_subsets(W.rank):
+        M = H.parabolic(subset)
+        for x in M.reps:
+            assert M.embed(M.kl_basis(x)) == H.kl_basis(W.mult(x, M.w_long)), (
+                subset, x)
+
+
 def test_pkl_a3_cross_check(alg_of):
     H = alg_of("A3")
     M = H.parabolic([0, 1])
@@ -208,3 +226,70 @@ def test_inverse_kl_properties(alg_of, name):
                 diff = W.length(z) - W.length(x)
                 for e, _ in g.items():
                     assert (e - diff) % 2 == 0
+
+
+@pytest.mark.parametrize("name", CROSS_ROUTE_TYPES)
+def test_inverse_kl_matches_signed_decomposition(alg_of, name):
+    # the duality rows against back-substitution in the parabolic KL basis
+    H = alg_of(name)
+    for subset in _all_subsets(H.system.rank):
+        M = H.parabolic(subset)
+        for z in M.reps:
+            signed = signed_inverse_from_decomposition(M, z)
+            for x in M.reps:
+                assert M.inverse_kl(x, z) == signed.get(x, ZERO), (subset, x, z)
+
+
+@pytest.mark.parametrize("name", CROSS_ROUTE_TYPES)
+def test_inverse_row_keys_are_upper_interval(alg_of, name):
+    H = alg_of(name)
+    W = H.system
+    for subset in _all_subsets(W.rank):
+        M = H.parabolic(subset)
+        for x in M.reps:
+            row = M.inverse_row(x)
+            assert set(row) <= set(M.reps)
+            for z in M.reps:
+                assert (z in row) == W.bruhat_leq(x, z), (subset, x, z)
+            assert row[x] == ONE
+
+
+@pytest.mark.parametrize("name, zeros", [("A3", 60), ("D4", 5162)])
+def test_inverse_row_keeps_zero_entries(alg_of, name, zeros):
+    # g_{x,z} vanishes on some comparable pairs; those keys stay in the
+    # row, so its keys still give the Bruhat interval
+    H = alg_of(name)
+    W = H.system
+    found = 0
+    for subset in _all_subsets(W.rank):
+        M = H.parabolic(subset)
+        for x in M.reps:
+            for z, g in M.inverse_row(x).items():
+                if not g:
+                    assert W.bruhat_leq(x, z) and x != z
+                    found += 1
+    assert found == zeros
+
+
+def test_inverse_kl_rejects_non_reps(alg_of):
+    H = alg_of("A3")
+    M = H.parabolic([0])
+    W = H.system
+    s1 = W.element_from_word([0])
+    s2 = W.element_from_word([1])
+    s2s1 = W.element_from_word([1, 0])
+
+    def msg(word):
+        return "^" + re.escape(
+            f"{word} is not a minimal coset representative for I = {{s1}}") + "$"
+
+    with pytest.raises(ValueError, match=msg("s1")):
+        M.inverse_kl(s1, s2)
+    with pytest.raises(ValueError, match=msg("s2.s1")):
+        M.inverse_kl(s2, s2s1)
+    # x is checked before z
+    with pytest.raises(ValueError, match=msg("s1")):
+        M.inverse_kl(s1, s2s1)
+    with pytest.raises(ValueError, match=msg("s1")):
+        M.inverse_row(s1)
+    assert M.inverse_kl(s2, s2) == ONE
