@@ -7,12 +7,13 @@ position 0.  All group structure (multiplication by generators on both
 sides, inverses, Bruhat order, coset machinery) is answered from tables
 built once, so queries are pure functions of (system, arguments).
 
-Two exact realizations back the enumeration:
+Elements are enumerated by one of two exact realizations:
 
 * bond labels in {2, 3, 4, 6} admit an integer root system; elements are
   the permutations they induce on the (finite) set of roots;
-* rank-2 systems with an arbitrary label m >= 2 use the dihedral normal
-  form sigma^eps rho^k directly.
+* rank-2 systems with an arbitrary label m >= 2 act on Z/2m by affine
+  maps, s1 by i -> -i and s2 by i -> 2 - i; an element is the pair
+  (e, c) of the map i -> e*i + c, so keys have constant size for every m.
 
 Either way the realization is faithful, so distinct elements get
 distinct keys.  Non-crystallographic bonds in rank >= 3 (H3, H4, ...)
@@ -22,7 +23,7 @@ are rejected.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .laurent import LaurentPoly, vpow
 
@@ -223,28 +224,26 @@ def _root_permutation_gens(matrix: CoxeterMatrix, cap: int):
                         )
         frontier = new
 
-    gens = [
-        tuple(index[reflect(i, r)] for r in roots) for i in range(n)
-    ]
-    identity = tuple(range(len(roots)))
+    gens = [tuple(index[reflect(i, r)] for r in roots) for i in range(n)]
+    return tuple(range(len(roots))), gens, _permute
 
-    def mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(p[i] for i in q)
 
-    return identity, gens, mul
+def _permute(key: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation key * g (g acts first)."""
+    return tuple(map(key.__getitem__, g))
 
 
 def _dihedral_gens(matrix: CoxeterMatrix):
-    """Rank-2 normal forms sigma^eps rho^k for any bond label m >= 2."""
-    m = matrix.bond(0, 1)
+    """Rank 2, any bond label m >= 2: the reflections i -> -i and
+    i -> 2 - i of Z/2m, which generate the dihedral group of order 2m,
+    as pairs (e, c) standing for i -> e*i + c."""
+    n = 2 * matrix.bond(0, 1)
 
-    def mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        e1, k1 = x
-        e2, k2 = y
-        k = k1 + k2 if e2 == 0 else k2 - k1
-        return (e1 ^ e2, k % m)
+    def compose(key: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
+        # i -> e*(f*i + d) + c  is  i -> e*f*i + (e*d + c)
+        return key[0] * g[0], (key[0] * g[1] + key[1]) % n
 
-    return (0, 0), [(1, 0), (1, 1)], mul
+    return (1, 0), [(-1, 0), (-1, 2)], compose
 
 
 # ---------------------------------------------------------------------------
@@ -444,58 +443,53 @@ def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
     if cap < 1:
         raise ValueError("cap must be positive")
     if matrix.rank == 2:
-        identity, gen_keys, mul = _dihedral_gens(matrix)
+        identity, gen_keys, compose = _dihedral_gens(matrix)
     else:
-        identity, gen_keys, mul = _root_permutation_gens(matrix, cap)
+        identity, gen_keys, compose = _root_permutation_gens(matrix, cap)
 
-    length: dict = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for k in frontier:
-            lk = length[k]
-            for g in gen_keys:
-                k2 = mul(k, g)
-                if k2 not in length:
-                    length[k2] = lk + 1
-                    new.append(k2)
-                    if len(length) > cap:
-                        raise GroupTooLarge(
-                            f"more than {cap} elements; the group is "
-                            "infinite or the cap is too small"
-                        )
-        frontier = new
+    # Elements are extended on the right in index order, generators in
+    # order, so each w is first reached from the (u, s) that minimises
+    # (words[u], s).  words[u] + (s,) is then w's lexicographically
+    # smallest reduced word, and discovery order is the canonical order.
+    # The words are spelled out after the loop, so that a group over the
+    # cap (I2(m) with 2m > cap) fails before words of length ~cap/2 exist.
+    keys = [identity]
+    index = {identity: 0}
+    lengths = [0]
+    reached_from = [(0, 0)]
+    right = []
+    for u, key in enumerate(keys):
+        row = []
+        for s, g in enumerate(gen_keys):
+            k2 = compose(key, g)
+            w = index.get(k2)
+            if w is None:
+                w = index[k2] = len(keys)
+                if w >= cap:
+                    raise GroupTooLarge(
+                        f"more than {cap} elements; the group is "
+                        "infinite or the cap is too small"
+                    )
+                keys.append(k2)
+                lengths.append(lengths[u] + 1)
+                reached_from.append((u, s))
+            row.append(w)
+        right.append(tuple(row))
 
-    n = matrix.rank
-    word: dict = {identity: ()}
-    for key in sorted(length, key=lambda k: (length[k], k)):
-        if key == identity:
-            continue
-        lk = length[key]
-        for s in range(n):
-            k2 = mul(gen_keys[s], key)
-            if length[k2] < lk:
-                word[key] = (s,) + word[k2]
-                break
-
-    ordered = sorted(length, key=lambda k: (length[k], word[k]))
-    index = {k: i for i, k in enumerate(ordered)}
-
-    lengths = tuple(length[k] for k in ordered)
-    words = tuple(word[k] for k in ordered)
-    right = tuple(
-        tuple(index[mul(k, gen_keys[s])] for s in range(n)) for k in ordered
-    )
-    left = tuple(
-        tuple(index[mul(gen_keys[s], k)] for s in range(n)) for k in ordered
-    )
+    words: list[tuple[int, ...]] = [()]
+    for u, s in reached_from[1:]:
+        words.append(words[u] + (s,))
     inv = []
-    for i, w in enumerate(words):
+    for word in words:
         u = 0
-        for s in reversed(w):
+        for s in reversed(word):
             u = right[u][s]
         inv.append(u)
-    return CoxeterSystem(matrix, lengths, words, right, left, tuple(inv))
+    # s w = (w^-1 s)^-1
+    left = tuple(tuple(inv[v] for v in right[inv[w]]) for w in range(len(keys)))
+    return CoxeterSystem(
+        matrix, tuple(lengths), tuple(words), tuple(right), left, tuple(inv)
+    )
 
 
 def build_named(name: str, cap: int = DEFAULT_CAP) -> CoxeterSystem:

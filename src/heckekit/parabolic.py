@@ -182,14 +182,9 @@ class ParabolicModule:
         return p
 
     def kl_poly(self, y: int, x: int) -> LaurentPoly:
-        """h_{y,x} in the parabolic module, cross-checked against the
-        identity h_{y,x} = h_{y w_I, x w_I} in H."""
+        """h_{y,x} in the parabolic module."""
         self._check_rep(y)
-        p = self.kl_basis(x).coeff(y)
-        sys = self.system
-        q = self.algebra.kl_poly(sys.mult(y, self.w_long), sys.mult(x, self.w_long))
-        assert p == q, "parabolic KL polynomial disagrees with h_{y w_I, x w_I}"
-        return p
+        return self.kl_basis(x).coeff(y)
 
     # -- inverse parabolic KL polynomials ----------------------------------------------
 

@@ -86,7 +86,6 @@ def f_shape(module: ParabolicModule, x: int) -> ComplexShape:
             continue
         g = module.inverse_kl(y, x)
         for i, m in g.items():
-            assert i > 0 and m > 0, "inverse KL polynomial outside vN[v]"
             by_degree.setdefault(i, []).append((y, i, m))
     terms = {deg: tuple(sorted(entries)) for deg, entries in by_degree.items()}
     return ComplexShape(module, x, terms)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -55,6 +56,11 @@ def test_rank2_any_label(sys_of):
     W = sys_of("I2(7)")
     assert W.size == 14
     assert W.length(W.longest) == 7
+    # a large label: rank-2 keys have constant size, so this stays cheap
+    W = build(CoxeterMatrix.from_name("I2(1000)"))
+    assert W.size == 2000
+    assert W.reduced_word(W.longest) == (0, 1) * 500
+    assert W.mult(W.longest, W.longest) == 0
 
 
 def test_six_bond_in_rank_three(sys_of):
@@ -72,16 +78,67 @@ def test_six_bond_in_rank_three(sys_of):
 
 
 def test_unsupported_bond_rank3():
-    with pytest.raises(UnsupportedBond):
+    with pytest.raises(UnsupportedBond) as err:
         build(CoxeterMatrix.from_name("H3"))
+    assert str(err.value) == (
+        "bond m(s1,s2) = 5 has no integer root-system realization; "
+        "only labels 2, 3, 4, 6 are supported in rank >= 3"
+    )
 
 
 def test_group_too_large():
     affine = CoxeterMatrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
-    with pytest.raises(GroupTooLarge):
+    with pytest.raises(GroupTooLarge) as err:
         build(affine, cap=1000)
+    assert str(err.value) == (
+        "root system exceeds 2000 roots; "
+        "the group is infinite or the cap is too small"
+    )
     with pytest.raises(GroupTooLarge):
         build(CoxeterMatrix.from_name("A3"), cap=10)
+    a4 = CoxeterMatrix.from_name("A4")
+    assert build(a4, cap=120).size == 120
+    with pytest.raises(GroupTooLarge) as err:
+        build(a4, cap=119)
+    assert str(err.value) == (
+        "more than 119 elements; the group is infinite or the cap is too small"
+    )
+    # fails at the default cap after 50,000 constant-size steps
+    with pytest.raises(GroupTooLarge) as err:
+        build(CoxeterMatrix.from_name("I2(1000000)"))
+    assert str(err.value) == (
+        "more than 50000 elements; the group is infinite or the cap is too small"
+    )
+
+
+# sha256 of repr((lengths, words, _right, _left, _inv)), recorded before
+# build became a single canonical-order pass; any change in the order of
+# the elements or in a table shows here.
+ENUMERATION_DIGESTS = {
+    "A1": "153ddade4db409e91620aced911f58193529d1ffd98e51eaa02ebde086e1f323",
+    "A1xA1": "0021e8c03baabfc800a231bd04cf557458822e619ecccd92c9fcf27e4e5250a1",
+    "I2(2)": "0021e8c03baabfc800a231bd04cf557458822e619ecccd92c9fcf27e4e5250a1",
+    "B2": "55c4bf6bc414289f6221a4424b2c4a3540ded54ce4203a825dc847d4caafe5ce",
+    "G2": "f4c63b194664b4e8d05e8f740e60f2d3457845c46e4bc5ed50dac4cce2fce880",
+    "I2(5)": "895786c1a3262b744d6316ff4ee273957929a0a161a1fd34970dd031e86c9fca",
+    "I2(7)": "013cdc32cd7844b06ced315d0e24afe89b2d7587bfcf4c1f992f3fddd15d8f85",
+    "I2(8)": "0937cb391adcd894440db9ca99e851204fa2c48a77f69e794ce906e5bbbdd341",
+    "A3": "be922838b284773f105181f29e5d3758878732570257eeb6038c8e63001b6b65",
+    "B3": "d8d9d6f4077d6b8c88759dd8beddacc69a7f5cd1b580c327014435eb0e4994bc",
+    "A1xA2": "72555f7d2f17979b26204e41d521017f49dce2196f4bdcbb358059f03429e727",
+    "G2xA1": "a70d8d4201b85d7b7e0c47a13f8c2cb5b30525ba1775ab4ab3a6527a85266fff",
+    "A4": "27c8784169c01f839362b158f026a6a2befd201c10e4e041444550479070346b",
+    "D4": "c024c96eb2cfdf3474576e93e44b7a59ce484e8f015775fff06ab0759a14812e",
+    "F4": "7c25f04d2d331ee2226909fa431da30c653c9fdfb43c0753fb663704ee6b3187",
+}
+
+
+@pytest.mark.parametrize("name", ENUMERATION_DIGESTS)
+def test_enumeration_digest(sys_of, name):
+    W = sys_of(name)
+    tables = (W.lengths, W.words, W._right, W._left, W._inv)
+    digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+    assert digest == ENUMERATION_DIGESTS[name]
 
 
 def test_enumeration_order(sys_of):

@@ -122,7 +122,7 @@ def test_pkl_unitriangular(alg_of):
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
 def test_pkl_poly_equals_full_kl_poly(alg_of, name):
-    # h^I_{y,x} = h_{y w_I, x w_I}; kl_poly also asserts this internally
+    # h^I_{y,x} = h_{y w_I, x w_I}
     H = alg_of(name)
     W = H.system
     for subset in _all_subsets(W.rank):
@@ -149,10 +149,12 @@ def test_pkl_embeds_to_full_kl_element(alg_of, name):
 def test_pkl_a3_cross_check(alg_of):
     H = alg_of("A3")
     M = H.parabolic([0, 1])
+    W = H.system
+    wI = M.w_long
     assert len(M.reps) == 4
     for x in M.reps:
         for y in M.reps:
-            M.kl_poly(y, x)  # internal assert compares the two routes
+            assert M.kl_poly(y, x) == H.kl_poly(W.mult(y, wI), W.mult(x, wI))
 
 
 # -- inverse parabolic KL ------------------------------------------------------------------
