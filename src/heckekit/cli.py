@@ -13,10 +13,8 @@ import json
 import sys
 
 from . import coxeter, rouquier, soergel, verify
-from .coxeter import CoxeterMatrix, CoxeterSystem, GroupTooLarge, UnsupportedBond
+from .coxeter import CoxeterMatrix, CoxeterSystem, GroupTooLarge
 from .hecke import HeckeAlgebra
-from .laurent import NotDivisible
-from .parabolic import NotInIdeal
 
 
 class InputError(ValueError):
@@ -300,8 +298,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, UnsupportedBond, GroupTooLarge, NotInIdeal, NotDivisible,
-            ValueError, OSError) as exc:
+    # InputError, UnsupportedBond and NotInIdeal are ValueErrors
+    except (ValueError, GroupTooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ w = s1 ... sk, i.e. bar(H_w) = (H_{w^-1})^-1.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .coxeter import CoxeterSystem
 from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot
@@ -128,7 +128,6 @@ class HeckeAlgebra:
         self._bar_basis: dict[int, dict[int, LaurentPoly]] = {0: {0: ONE}}
         self._kl: dict[int, HeckeElt] = {}
         self._polys: dict[LaurentPoly, LaurentPoly] = {}
-        self._ideal: dict[frozenset[int], HeckeElt] = {}
         self._parabolic: dict[frozenset[int], object] = {}
 
     # -- constructors -------------------------------------------------------
@@ -157,29 +156,21 @@ class HeckeAlgebra:
 
     # -- multiplication -------------------------------------------------------
 
-    def _gen_right_raw(self, terms: dict[int, LaurentPoly], s: int) -> dict:
-        sys = self.system
+    def _gen_raw(self, terms: dict[int, LaurentPoly], s: int,
+                 table: Sequence[Sequence[int]]) -> dict:
+        """terms * H_s for table = system._right, H_s * terms for _left."""
+        lengths = self.system.lengths
         out: dict[int, LaurentPoly] = {}
         for w, c in terms.items():
-            ws = sys._right[w][s]
+            ws = table[w][s]
             _acc(out, ws, c)
-            if sys.lengths[ws] < sys.lengths[w]:
-                _acc(out, w, c * _VINV_MINUS_V)
-        return out
-
-    def _gen_left_raw(self, terms: dict[int, LaurentPoly], s: int) -> dict:
-        sys = self.system
-        out: dict[int, LaurentPoly] = {}
-        for w, c in terms.items():
-            sw = sys._left[w][s]
-            _acc(out, sw, c)
-            if sys.lengths[sw] < sys.lengths[w]:
+            if lengths[ws] < lengths[w]:
                 _acc(out, w, c * _VINV_MINUS_V)
         return out
 
     def mult_gen_right(self, h: HeckeElt, s: int) -> HeckeElt:
         """h * H_s."""
-        return HeckeElt(self, self._gen_right_raw(h.terms, s))
+        return HeckeElt(self, self._gen_raw(h.terms, s, self.system._right))
 
     def mult(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
         """The algebra product, expanding h2 along canonical reduced words."""
@@ -188,7 +179,7 @@ class HeckeAlgebra:
         for y, d in h2.terms.items():
             cur = {w: c * d for w, c in h1.terms.items()}
             for s in sys.words[y]:
-                cur = self._gen_right_raw(cur, s)
+                cur = self._gen_raw(cur, s, sys._right)
             for w, c in cur.items():
                 _acc(out, w, c)
         return HeckeElt(self, out)
@@ -220,7 +211,7 @@ class HeckeAlgebra:
         s = sys.words[w][0]
         rest = self._bar_of_basis(sys._left[w][s])
         # bar(H_w) = H_s^-1 * bar(H_{s w}) = (H_s + (v - v^-1)) * bar(H_{s w})
-        out = self._gen_left_raw(rest, s)
+        out = self._gen_raw(rest, s, sys._left)
         for u, c in rest.items():
             _acc(out, u, c * _V_MINUS_VINV)
         self._bar_basis[w] = out
@@ -298,22 +289,7 @@ class HeckeAlgebra:
         """
         return dot(h1.terms, h2.terms)
 
-    # -- parabolic ideal generator -------------------------------------------------
-
-    def kl_ideal_generator(self, subset) -> HeckeElt:
-        """KL_{w_I} by its closed form sum_{x in W_I} v^(l(w_I) - l(x)) H_x."""
-        key = self.system.subset(subset)
-        cached = self._ideal.get(key)
-        if cached is not None:
-            return cached
-        sys = self.system
-        elems = sys.subgroup(key)
-        top = sys.lengths[elems[-1]]
-        h = HeckeElt(
-            self, {x: LaurentPoly.monomial(top - sys.lengths[x]) for x in elems}
-        )
-        self._ideal[key] = h
-        return h
+    # -- parabolic modules ------------------------------------------------------
 
     def parabolic(self, subset):
         """The parabolic module H * KL_{w_I}, cached per subset."""

@@ -1,7 +1,8 @@
 """The parabolic left ideal H * KL_{w_I} and its two bases.
 
 Elements are stored in the standard parabolic basis {P_x = H_x KL_{w_I}},
-indexed by the minimal coset representatives x in W^I.  The parabolic KL
+indexed by the minimal coset representatives x in W^I, on which each
+KL_s acts by Deodhar's three cases (`kl_gen_mult`).  The parabolic KL
 basis is PKL_x = KL_{x w_I}, read back through the ideal.  The inverse
 parabolic KL polynomials, the solution g_{x,z} of
 
@@ -17,7 +18,9 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from .hecke import HeckeAlgebra, HeckeElt, _acc
-from .laurent import LaurentPoly, ONE, ZERO, _as_poly, dot, vpow
+from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, vpow
+
+_V_PLUS_VINV = V + V_INV
 
 
 class NotInIdeal(ValueError):
@@ -102,7 +105,6 @@ class ParabolicModule:
         self.shift = self.system.lengths[self.w_long]
         self.reps = self.system.min_reps(self.subset)
         self._rep_set = frozenset(self.reps)
-        self.ideal_gen = algebra.kl_ideal_generator(self.subset)
         self._wi_elems = self.system.subgroup(self.subset)
         self._pkl: dict[int, ParabolicElt] = {}
         self._rows: dict[int, dict[int, LaurentPoly]] = {}
@@ -139,6 +141,27 @@ class ParabolicModule:
         """The standard basis element H_x KL_{w_I}."""
         self._check_rep(x)
         return ParabolicElt(self, {x: ONE})
+
+    # -- the action of H ---------------------------------------------------------
+
+    def kl_gen_mult(self, s: int, p: ParabolicElt) -> ParabolicElt:
+        """Left multiplication by KL_s = H_s + v (Deodhar, J. Algebra 111
+        (1987)): on a standard term,
+
+            KL_s P_x = P_{sx} + v P_x       if sx > x and sx in W^I,
+            KL_s P_x = P_{sx} + v^-1 P_x    if sx < x,
+            KL_s P_x = (v + v^-1) P_x       if sx not in W^I (sx = x t, t in I).
+        """
+        sys = self.system
+        out: dict[int, LaurentPoly] = {}
+        for x, c in p.terms.items():
+            sx = sys._left[x][s]
+            if sx not in self._rep_set:
+                _acc(out, x, c * _V_PLUS_VINV)
+            else:
+                _acc(out, sx, c)
+                _acc(out, x, c * (V if sys.lengths[sx] > sys.lengths[x] else V_INV))
+        return ParabolicElt(self, out)
 
     # -- embedding into the Hecke algebra ----------------------------------------
 

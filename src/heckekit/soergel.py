@@ -4,7 +4,7 @@ A Character stores the expansion of an ideal element in the parabolic KL
 basis {PKL_y}; under the KL dictionary its coefficients are the graded
 multiplicities of the indecomposable objects.  On top of that sit the
 Bott-Samelson characters, the Hom-formula graded ranks, the support
-graded ranks and the perversity test.
+graded ranks and the perversity test, all computed over W^I.
 """
 
 from __future__ import annotations
@@ -100,12 +100,12 @@ def kl_decompose(p: ParabolicElt) -> Character:
 
 def bott_samelson_char(module: ParabolicModule, word) -> Character:
     """Character of the Bott-Samelson object of a generator word over I:
-    KL_{s_1} ... KL_{s_k} KL_{w_I}, decomposed in the parabolic KL basis."""
-    algebra = module.algebra
-    h = module.ideal_gen
+    KL_{s_1} ... KL_{s_k} KL_{w_I}, multiplied out from P_e = KL_{w_I} by
+    `ParabolicModule.kl_gen_mult` and decomposed in the parabolic KL basis."""
+    p = module.delta(0)
     for s in reversed(tuple(word)):
-        h = algebra.kl_gen_mult(s, h)
-    return kl_decompose(module.extract(h))
+        p = module.kl_gen_mult(s, p)
+    return kl_decompose(p)
 
 
 def graded_hom_rank(c1: Character, c2: Character) -> LaurentPoly:

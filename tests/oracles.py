@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity along a path disjoint from the library
 implementation it checks: the KL coefficients by solving the
 bar-invariance system directly, the Bruhat order by the subword
-property, basis decompositions by a standalone back-substitution, and
-the bilinear pairing by multiplying out eps(a(h1) h2).
+property, basis decompositions by a standalone back-substitution, the
+bilinear pairing by multiplying out eps(a(h1) h2), and Bott-Samelson
+characters by products in H instead of in the parabolic module.
 """
 
 import functools
@@ -82,6 +83,17 @@ def decompose_in_kl_basis(module, terms):
     return out
 
 
+def bott_samelson_via_hecke(module, word):
+    """KL-basis coefficients of KL_{s_1} ... KL_{s_k} KL_{w_I}, the product
+    taken in H and read back through `extract`, which re-embeds the result
+    to check that it lies in the ideal."""
+    algebra = module.algebra
+    h = algebra.kl_basis(module.w_long)
+    for s in reversed(tuple(word)):
+        h = algebra.kl_gen_mult(s, h)
+    return decompose_in_kl_basis(module, module.extract(h).terms)
+
+
 def signed_inverse_from_decomposition(module, x):
     """g_{y,x} recovered from the signed KL-basis expansion of the
     standard basis element of x: an oracle for the inversion-formula
@@ -108,7 +120,7 @@ def _eps_row(algebra, w):
     row = {0: ONE} if w == 0 else {}
     for y in range(1, sys.size):
         s = sys.words[y][-1]
-        prods.append(algebra._gen_right_raw(prods[sys._right[y][s]], s))
+        prods.append(algebra._gen_raw(prods[sys._right[y][s]], s, sys._right))
         c = prods[y].get(0)
         if c:
             row[y] = c

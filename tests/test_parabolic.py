@@ -5,7 +5,7 @@ import re
 import pytest
 
 from heckekit import NotInIdeal
-from heckekit.laurent import LaurentPoly, ONE, V, ZERO, vpow
+from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 
 from oracles import signed_inverse_from_decomposition
 
@@ -24,7 +24,7 @@ def _all_subsets(rank):
 def test_embed_identity_rep_is_ideal_generator(alg_of):
     H = alg_of("A3")
     M = H.parabolic([0, 1])
-    assert M.embed(M.delta(0)) == M.ideal_gen
+    assert M.embed(M.delta(0)) == H.kl_basis(M.w_long)
 
 
 def test_embed_leading_monomial(alg_of):
@@ -48,13 +48,13 @@ def test_embed_matches_generic_multiplication(alg_of):
     for subset in ([0], [0, 2], [1, 2]):
         M = H.parabolic(subset)
         for y in M.reps[:6]:
-            assert M.embed(M.delta(y)) == H.mult(H.std(y), M.ideal_gen)
+            assert M.embed(M.delta(y)) == H.mult(H.std(y), H.kl_basis(M.w_long))
 
 
 def test_extract_ideal_generator(alg_of):
     H = alg_of("A3")
     M = H.parabolic([0, 1])
-    assert M.extract(M.ideal_gen) == M.delta(0)
+    assert M.extract(H.kl_basis(M.w_long)) == M.delta(0)
 
 
 def test_extract_roundtrip_random(alg_of):
@@ -80,6 +80,32 @@ def test_extract_rejects_non_ideal(alg_of):
         M.extract(H.std(H.system.element_from_word([0])))
     with pytest.raises(NotInIdeal):
         M.extract(H.unit())
+
+
+# -- the action of KL_s ----------------------------------------------------------
+
+
+def test_kl_gen_mult_three_cases_a1(alg_of):
+    H = alg_of("A1")
+    s = H.system.element_from_word([0])
+    M = H.parabolic([])
+    assert M.kl_gen_mult(0, M.delta(0)) == M.elt({s: ONE, 0: V})  # sx > x
+    assert M.kl_gen_mult(0, M.delta(s)) == M.elt({0: ONE, s: V_INV})  # sx < x
+    M = H.parabolic([0])
+    assert M.kl_gen_mult(0, M.delta(0)) == M.elt({0: V + V_INV})  # sx not in W^I
+
+
+@pytest.mark.parametrize("name", CROSS_ROUTE_TYPES)
+def test_kl_gen_mult_matches_hecke_action(alg_of, name):
+    # every generator on every delta and PKL element, every subset
+    H = alg_of(name)
+    for subset in _all_subsets(H.system.rank):
+        M = H.parabolic(subset)
+        elts = [M.delta(x) for x in M.reps] + [M.kl_basis(x) for x in M.reps]
+        for s in range(H.system.rank):
+            for p in elts:
+                expected = M.extract(H.kl_gen_mult(s, M.embed(p)))
+                assert M.kl_gen_mult(s, p) == expected, (subset, s, p)
 
 
 def test_elt_rejects_non_reps(alg_of):

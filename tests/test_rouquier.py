@@ -45,7 +45,7 @@ def test_rouquier_character_definition(alg_of):
     for subset in ([], [0, 1], [1, 2]):
         M = H.parabolic(subset)
         for x in M.reps:
-            assert M.extract(H.mult(H.std(x), M.ideal_gen)) == M.delta(x)
+            assert M.extract(H.mult(H.std(x), H.kl_basis(M.w_long))) == M.delta(x)
 
 
 def test_f_shape_invariants(alg_of):
@@ -125,7 +125,7 @@ def test_e_shape_character_is_bar_twisted(alg_of):
     for subset in ([], [0, 1]):
         M = H.parabolic(subset)
         for x in M.reps:
-            expected = M.extract(H.mult(H.bar(H.std(x)), M.ideal_gen))
+            expected = M.extract(H.mult(H.bar(H.std(x)), H.kl_basis(M.w_long)))
             assert shape_character(e_shape(M, x)) == expected
 
 

@@ -14,7 +14,7 @@ from heckekit import (
 )
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, div_exact, vpow
 
-from oracles import decompose_in_kl_basis, trace_pairing
+from oracles import bott_samelson_via_hecke, decompose_in_kl_basis, trace_pairing
 
 CROSS_ROUTE_TYPES = ["A1xA1", "A2", "B2", "A3", "B3", "I2(5)", "I2(7)"]
 
@@ -110,9 +110,23 @@ def test_bs_equals_direct_product_route(alg_of):
     h = H.mult(
         H.mult(H.kl_basis(H.system.element_from_word([0])),
                H.kl_basis(H.system.element_from_word([1]))),
-        H.mult(H.kl_basis(H.system.element_from_word([2])), M.ideal_gen),
+        H.mult(H.kl_basis(H.system.element_from_word([2])), H.kl_basis(M.w_long)),
     )
     assert bott_samelson_char(M, (0, 1, 2)) == kl_decompose(M.extract(h))
+
+
+@pytest.mark.parametrize("name", ["A1xA1", "I2(5)", "A3", "B3", "D4"])
+def test_bs_char_matches_hecke_route(alg_of, name):
+    H = alg_of(name)
+    rank = H.system.rank
+    rng = random.Random(17)
+    for subset in _all_subsets(rank):
+        M = H.parabolic(subset)
+        words = [()] + [[rng.randrange(rank) for _ in range(rng.randrange(1, 7))]
+                        for _ in range(6)]
+        for word in words:
+            c = bott_samelson_char(M, word)
+            assert c.coeffs == bott_samelson_via_hecke(M, word), (subset, word)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
