@@ -15,6 +15,12 @@ and symmetrically on the left.  The bar involution is the ring
 homomorphism with bar(v) = v^-1 and bar(H_s) = H_s^-1, so on a basis
 element bar(H_w) = H_{s1}^-1 ... H_{sk}^-1 for any reduced word
 w = s1 ... sk, i.e. bar(H_w) = (H_{w^-1})^-1.
+
+The KL recursion uses the descent identity (Kazhdan-Lusztig, Invent.
+Math. 53 (1979), §2: P_{y,w} = P_{sy,w} when sw < w): if s is a left
+descent of x, then h_{w,x} = v h_{sw,x} for every w with sw > w.  So
+`kl_basis` computes only the coefficients at the s-descents w and reads
+the rest off by a shift of v.
 """
 
 from __future__ import annotations
@@ -37,18 +43,20 @@ def _acc(terms: dict[int, LaurentPoly], w: int, p: LaurentPoly) -> None:
         del terms[w]
 
 
-class HeckeElt:
-    """An element of the Hecke algebra in the standard basis.
+class TermElt:
+    """A sparse element over a basis indexed by group elements.
 
-    `terms` maps element indices to nonzero Laurent polynomials.
-    Instances are arithmetic values: +, -, * (algebra product for
-    HeckeElt operands, scalar action for LaurentPoly / int).
+    `terms` maps indices to nonzero Laurent polynomials and `owner` is the
+    algebra or module the element lives in.  Instances are arithmetic
+    values: +, -, and scaling by a LaurentPoly / int.  Elements of
+    different kinds or owners are never equal.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("owner", "terms")
+    _label = "H"
 
-    def __init__(self, algebra: "HeckeAlgebra", terms: dict[int, LaurentPoly]):
-        self.algebra = algebra
+    def __init__(self, owner, terms: dict[int, LaurentPoly]):
+        self.owner = owner
         self.terms = terms
 
     def coeff(self, w: int) -> LaurentPoly:
@@ -64,47 +72,43 @@ class HeckeElt:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElt):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
+        return self.owner is other.owner and self.terms == other.terms
 
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
+    def __add__(self, other):
         terms = dict(self.terms)
         for w, p in other.terms.items():
             _acc(terms, w, p)
-        return HeckeElt(self.algebra, terms)
+        return type(self)(self.owner, terms)
 
-    def __neg__(self) -> "HeckeElt":
-        return HeckeElt(self.algebra, {w: -p for w, p in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.owner, {w: -p for w, p in self.terms.items()})
 
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other) -> "HeckeElt":
-        if isinstance(other, HeckeElt):
-            return self.algebra.mult(self, other)
-        return self._scaled(_as_poly(other))
-
-    def __rmul__(self, other) -> "HeckeElt":
-        return self._scaled(_as_poly(other))
-
-    def _scaled(self, c: LaurentPoly) -> "HeckeElt":
+    def __mul__(self, other):
+        c = _as_poly(other)
         if not c:
-            return HeckeElt(self.algebra, {})
-        return HeckeElt(self.algebra, {w: p * c for w, p in self.terms.items()})
+            return type(self)(self.owner, {})
+        return type(self)(self.owner, {w: p * c for w, p in self.terms.items()})
+
+    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        sys = self.algebra.system
+        sys = self.owner.system
         return " + ".join(
-            f"({self.terms[w]}) * H[{sys.word_str(w)}]" for w in sorted(self.terms)
+            f"({self.terms[w]}) * {self._label}[{sys.word_str(w)}]"
+            for w in sorted(self.terms)
         )
 
     __repr__ = __str__
 
     def to_json_obj(self) -> list[dict]:
-        sys = self.algebra.system
+        sys = self.owner.system
         return [
             {"word": sys.word_str(w), "poly": self.terms[w].to_pairs()}
             for w in sorted(self.terms)
@@ -114,13 +118,31 @@ class HeckeElt:
         return iter(sorted(self.terms.items()))
 
 
+class HeckeElt(TermElt):
+    """An element of the Hecke algebra in the standard basis; `*` of two
+    HeckeElts is the algebra product."""
+
+    __slots__ = ()
+
+    @property
+    def algebra(self) -> "HeckeAlgebra":
+        return self.owner
+
+    def __mul__(self, other) -> "HeckeElt":
+        if isinstance(other, HeckeElt):
+            return self.owner.mult(self, other)
+        return super().__mul__(other)
+
+
 class HeckeAlgebra:
     """Hecke algebra attached to a CoxeterSystem.
 
     Keeps per-system memo tables: bar of standard basis elements, the
-    Kazhdan-Lusztig basis and the interning table `_polys` that maps each
+    Kazhdan-Lusztig basis, the interning table `_polys` that maps each
     KL coefficient to the one shared object standing for every equal
-    entry.  Queries are pure in (system, arguments).
+    entry, and the shift map `_shifted` from an interned coefficient p
+    to the interned v p (at most one entry per interned value).  Queries
+    are pure in (system, arguments).
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -128,6 +150,7 @@ class HeckeAlgebra:
         self._bar_basis: dict[int, dict[int, LaurentPoly]] = {0: {0: ONE}}
         self._kl: dict[int, HeckeElt] = {}
         self._polys: dict[LaurentPoly, LaurentPoly] = {}
+        self._shifted: dict[LaurentPoly, LaurentPoly] = {}
         self._parabolic: dict[frozenset[int], object] = {}
 
     # -- constructors -------------------------------------------------------
@@ -229,36 +252,83 @@ class HeckeAlgebra:
     # -- Kazhdan-Lusztig basis -----------------------------------------------------
 
     def kl_basis(self, x: int) -> HeckeElt:
-        """KL_x, by the inductive algorithm on the smallest left descent:
+        """KL_x, by the inductive algorithm on the first letter s of x:
 
             KL_x = KL_s KL_{sx} - sum_z mu(z, sx) KL_z
 
-        over z < sx with sz < z, where mu is the coefficient of v.  The
-        sum is taken in place in the fresh terms of KL_s KL_{sx}, and each
-        coefficient is then replaced by its interned copy.
+        over z < sx with sz < z, where mu is the coefficient of v.  Every
+        element on the right has s as a left descent, so its coefficients
+        obey the descent identity h_{w,u} = v h_{sw,u} for sw > w
+        (Kazhdan-Lusztig 1979, P_{y,w} = P_{sy,w}).  Only the upper
+        coefficients, at w with sw < w, are computed: the KL_s action
+        gives a_{sw} + v^-1 a_w from a = KL_{sx}, the mu terms are
+        subtracted in place in plain exponent maps, and each result is
+        interned once.  The lower partner sw then gets v times it, read
+        from the shift map.
         """
         cached = self._kl.get(x)
         if cached is not None:
             return cached
-        sys = self.system
-        if x == 0:
-            result = self.unit()
-        else:
-            s = sys.words[x][0]
-            y = sys._left[x][s]
-            below = self.kl_basis(y)
-            result = self.kl_gen_mult(s, below)
-            for z, hzy in below.terms.items():
-                if z == y:
-                    continue
-                m = hzy.coeff(1)
-                if m and sys.lengths[sys._left[z][s]] < sys.lengths[z]:
-                    for w, p in self.kl_basis(z).terms.items():
-                        _acc(result.terms, w, p * -m)
         polys = self._polys
-        for w, p in result.terms.items():
-            result.terms[w] = polys.setdefault(p, p)
-        self._kl[x] = result
+        if x == 0:
+            result = self._kl[0] = HeckeElt(self, {0: polys.setdefault(ONE, ONE)})
+            return result
+        sys = self.system
+        left, lengths = sys._left, sys.lengths
+        s = sys.words[x][0]
+        y = left[x][s]
+        below = self.kl_basis(y)
+        upper: dict[int, dict[int, int]] = {}
+        for w, p in below.terms.items():
+            sw = left[w][s]
+            if lengths[sw] < lengths[w]:
+                u, d = w, -1
+            else:
+                u, d = sw, 0
+            c = upper.get(u)
+            if c is None:
+                upper[u] = {e + d: k for e, k in p._c.items()}
+                continue
+            for e, k in p._c.items():
+                e += d
+                k += c.get(e, 0)
+                if k:
+                    c[e] = k
+                else:
+                    del c[e]
+        for z, hzy in below.terms.items():
+            m = hzy._c.get(1)
+            if not m or z == y or lengths[left[z][s]] > lengths[z]:
+                continue
+            for w, p in self.kl_basis(z).terms.items():
+                if lengths[left[w][s]] > lengths[w]:
+                    continue
+                c = upper.get(w)
+                if c is None:
+                    upper[w] = {e: -m * k for e, k in p._c.items()}
+                    continue
+                for e, k in p._c.items():
+                    k = c.get(e, 0) - m * k
+                    if k:
+                        c[e] = k
+                    else:
+                        del c[e]
+        shifted = self._shifted
+        terms: dict[int, LaurentPoly] = {}
+        for w, c in upper.items():
+            if not c:
+                continue
+            p = LaurentPoly.__new__(LaurentPoly)
+            p._c = c
+            p = polys.setdefault(p, p)
+            q = shifted.get(p)
+            if q is None:
+                q = LaurentPoly.__new__(LaurentPoly)
+                q._c = {e + 1: k for e, k in c.items()}
+                q = shifted[p] = polys.setdefault(q, q)
+            terms[w] = p
+            terms[left[w][s]] = q
+        result = self._kl[x] = HeckeElt(self, terms)
         return result
 
     def kl_poly(self, y: int, x: int) -> LaurentPoly:

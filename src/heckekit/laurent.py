@@ -31,7 +31,7 @@ class LaurentPoly:
     True
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_h")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         c: dict[int, int] = {}
@@ -97,7 +97,12 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        # values are immutable, so the hash is computed once and kept
+        try:
+            return self._h
+        except AttributeError:
+            h = self._h = hash(frozenset(self._c.items()))
+            return h
 
     # -- ring operations -------------------------------------------------
 

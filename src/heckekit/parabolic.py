@@ -15,9 +15,9 @@ I = {} is the classical g_{x,z} = h_{w0 z, w0 x}.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .hecke import HeckeAlgebra, HeckeElt, _acc
+from .hecke import HeckeAlgebra, HeckeElt, TermElt, _acc
 from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, vpow
 
 _V_PLUS_VINV = V + V_INV
@@ -27,71 +27,16 @@ class NotInIdeal(ValueError):
     """The Hecke element does not lie in the ideal H * KL_{w_I}."""
 
 
-class ParabolicElt:
-    """An element of the ideal, written in the basis {H_x KL_{w_I}}."""
+class ParabolicElt(TermElt):
+    """An element of the ideal, written in the basis {H_x KL_{w_I}};
+    scaling is its only product."""
 
-    __slots__ = ("module", "terms")
+    __slots__ = ()
+    _label = "H^I"
 
-    def __init__(self, module: "ParabolicModule", terms: dict[int, LaurentPoly]):
-        self.module = module
-        self.terms = terms
-
-    def coeff(self, w: int) -> LaurentPoly:
-        return self.terms.get(w, ZERO)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ParabolicElt):
-            return NotImplemented
-        return self.module is other.module and self.terms == other.terms
-
-    def __add__(self, other: "ParabolicElt") -> "ParabolicElt":
-        terms = dict(self.terms)
-        for w, p in other.terms.items():
-            _acc(terms, w, p)
-        return ParabolicElt(self.module, terms)
-
-    def __neg__(self) -> "ParabolicElt":
-        return ParabolicElt(self.module, {w: -p for w, p in self.terms.items()})
-
-    def __sub__(self, other: "ParabolicElt") -> "ParabolicElt":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ParabolicElt":
-        c = _as_poly(other)
-        if not c:
-            return ParabolicElt(self.module, {})
-        return ParabolicElt(self.module, {w: p * c for w, p in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        sys = self.module.system
-        return " + ".join(
-            f"({self.terms[w]}) * H^I[{sys.word_str(w)}]" for w in sorted(self.terms)
-        )
-
-    __repr__ = __str__
-
-    def to_json_obj(self) -> list[dict]:
-        sys = self.module.system
-        return [
-            {"word": sys.word_str(w), "poly": self.terms[w].to_pairs()}
-            for w in sorted(self.terms)
-        ]
-
-    def items(self) -> Iterator[tuple[int, LaurentPoly]]:
-        return iter(sorted(self.terms.items()))
+    @property
+    def module(self) -> "ParabolicModule":
+        return self.owner
 
 
 class ParabolicModule:
@@ -108,6 +53,10 @@ class ParabolicModule:
         self._wi_elems = self.system.subgroup(self.subset)
         self._pkl: dict[int, ParabolicElt] = {}
         self._rows: dict[int, dict[int, LaurentPoly]] = {}
+        # shared values: h -> h v^(-l(w_I)) for `_restrict`, and the
+        # interning table of the inverse rows
+        self._down: dict[LaurentPoly, LaurentPoly] = {}
+        self._gvals: dict[LaurentPoly, LaurentPoly] = {}
         self._dual: dict[int, tuple[int, int, int]] = {}
 
     def poincare(self) -> LaurentPoly:
@@ -180,9 +129,22 @@ class ParabolicModule:
         return HeckeElt(self.algebra, out)
 
     def _restrict(self, terms: Mapping[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-        """Parabolic coefficients: H_y coefficients over v^(l(w_I)), y in W^I."""
+        """Parabolic coefficients: H_y coefficients over v^(l(w_I)), y in W^I.
+
+        Each distinct coefficient is divided once, so equal entries share
+        one value, as the KL coefficients they come from do.
+        """
         down = vpow(-self.shift)
-        return {y: c * down for y in self.reps if (c := terms.get(y)) is not None}
+        memo = self._down
+        out = {}
+        for y in self.reps:
+            c = terms.get(y)
+            if c is not None:
+                d = memo.get(c)
+                if d is None:
+                    d = memo[c] = c * down
+                out[y] = d
+        return out
 
     def extract(self, h: HeckeElt) -> ParabolicElt:
         """Invert embed on the ideal, validated by re-embedding; raises
@@ -238,7 +200,11 @@ class ParabolicModule:
             c = acc.setdefault(z, {})
             for e, k in h.items():
                 c[e + lu] = c.get(e + lu, 0) + sign * k
-        row = self._rows[x] = {z: LaurentPoly(c) for z, c in acc.items()}
+        vals = self._gvals
+        row = self._rows[x] = {}
+        for z, c in acc.items():
+            g = LaurentPoly(c)
+            row[z] = vals.setdefault(g, g)
         return row
 
     def inverse_kl(self, x: int, z: int) -> LaurentPoly:

@@ -4,8 +4,10 @@ Each oracle recomputes a quantity along a path disjoint from the library
 implementation it checks: the KL coefficients by solving the
 bar-invariance system directly, the Bruhat order by the subword
 property, basis decompositions by a standalone back-substitution, the
-bilinear pairing by multiplying out eps(a(h1) h2), and Bott-Samelson
-characters by products in H instead of in the parabolic module.
+bilinear pairing by multiplying out eps(a(h1) h2), Bott-Samelson
+characters by products in H instead of in the parabolic module, and the
+KL basis by whole-element generator products instead of the library's
+half-table descent recursion.
 """
 
 import functools
@@ -41,6 +43,30 @@ def bar_solve_kl(algebra, x):
         if positive:
             p[z] = positive
     return p
+
+
+@functools.lru_cache(maxsize=None)
+def kl_basis_via_gen_mult(algebra, x):
+    """KL_x by the generator-product recursion
+
+        KL_x = KL_s KL_{sx} - sum_z mu(z, sx) KL_z
+
+    over z < sx with sz < z, s the first letter of x, taken in whole
+    elements with the public `kl_gen_mult` and HeckeElt arithmetic and
+    memoized here, apart from the library's table.
+    """
+    sys = algebra.system
+    if x == 0:
+        return algebra.unit()
+    s = sys.words[x][0]
+    y = sys.mult_gen(x, s, "left")
+    below = kl_basis_via_gen_mult(algebra, y)
+    result = algebra.kl_gen_mult(s, below)
+    for z, h in below.terms.items():
+        m = h.coeff(1)
+        if m and z != y and s in sys.descents(z, "left"):
+            result = result - m * kl_basis_via_gen_mult(algebra, z)
+    return result
 
 
 def bruhat_lower_set(system, y):

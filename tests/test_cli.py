@@ -131,6 +131,10 @@ def test_verify_json(capsys):
 TABLE_DIGESTS = [
     (("kl-table", "--type", "B3"),
      "08a2b79b3815849294cf4ca9cb1514afa0b5676e1a51abbd838186f3c6e0f5b0"),
+    (("kl-table", "--type", "B4"),
+     "d93b5b6f1ea0c0583c3e34fb0fdefddc6a8c9ac1f5af55bea74908a5f7c91a46"),
+    (("kl-table", "--type", "D4"),
+     "a8a5fe4c79e42a56eaa16580aa79970fc6091071536ae680198724b40d87b05e"),
     (("kl-table", "--type", "A3", "--format", "json"),
      "ef7a84f97b7f27cfc99fe68a3a239790bda40ee489a3809719c4cf67deff4bd9"),
     (("parabolic-tables", "--type", "B3", "--subset", "s1"),

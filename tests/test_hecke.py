@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from heckekit import HeckeAlgebra, build_named
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 
-from oracles import bar_solve_kl, trace_pairing
+from oracles import bar_solve_kl, kl_basis_via_gen_mult, trace_pairing
 
 
 def _word_elt(alg, *gens):
@@ -177,6 +177,30 @@ def test_kl_descent_absorption(alg_of):
         for s in range(W.rank):
             if W.length(W.mult_gen(x, s, "left")) < W.length(x):
                 assert H.kl_gen_mult(s, H.kl_basis(x)) == (V + V_INV) * H.kl_basis(x)
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "D4", "B3", "I2(7)"])
+def test_kl_basis_matches_gen_mult_route(alg_of, name):
+    H = alg_of(name)
+    for x in range(H.system.size):
+        assert H.kl_basis(x) == kl_basis_via_gen_mult(H, x)
+
+
+@pytest.mark.parametrize("name", ["B3", "D4"])
+def test_kl_descent_identity_every_left_descent(alg_of, name):
+    # h_{w,x} = v h_{sw,x} for each left descent s of x and each w < sw,
+    # zero coefficients included
+    H = alg_of(name)
+    W = H.system
+    checked = 0
+    for x in range(W.size):
+        for s in W.descents(x, "left"):
+            for w in range(W.size):
+                sw = W.mult_gen(w, s, "left")
+                if W.length(sw) > W.length(w):
+                    assert H.kl_poly(w, x) == V * H.kl_poly(sw, x)
+                    checked += 1
+    assert checked > W.size
 
 
 # -- trace, anti-involution, pairing ---------------------------------------------------

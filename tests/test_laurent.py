@@ -9,6 +9,7 @@ from heckekit.laurent import (
     V_INV,
     ZERO,
     div_exact,
+    dot,
     vpow,
 )
 
@@ -174,11 +175,32 @@ def test_products_store_no_zero_coefficients(a, b):
     assert 0 not in (a * b)._c.values()
 
 
+def _equal_copies(p):
+    """p rebuilt along every constructor path."""
+    return [
+        # the opposite insertion order
+        LaurentPoly(dict(reversed(list(p._c.items())))),
+        sum((LaurentPoly.monomial(e, k) for e, k in p.items()), ZERO),
+        p + ZERO,
+        ZERO + p,
+        p * 1,
+        p * ONE,
+        -(-p),
+        p.bar().bar(),
+        dot({0: p}, {0: ONE}),
+    ]
+
+
 @given(polys)
 def test_equal_polys_hash_equally(p):
-    # build an equal value with the opposite insertion order
-    q = LaurentPoly(dict(reversed(list(p._c.items()))))
-    assert p == q
-    assert hash(p) == hash(q)
-    assert hash(p * 1) == hash(p)
-    assert {p: "x"}[q] == "x"
+    fresh = _equal_copies(p)  # built while p has no cached hash
+    h = hash(p)
+    for q in fresh + _equal_copies(p):
+        assert q == p
+        assert hash(q) == h  # the first hash of q
+        assert hash(q) == h  # the cached one
+    assert hash(p) == h
+    assert {p: "x"}[fresh[0]] == "x"
+    # a value derived from a hashed operand hashes as its own value
+    assert hash(-p) == hash(LaurentPoly({e: -k for e, k in p.items()}))
+    assert hash(p.bar()) == hash(LaurentPoly({-e: k for e, k in p.items()}))

@@ -82,6 +82,24 @@ def test_extract_rejects_non_ideal(alg_of):
         M.extract(H.unit())
 
 
+# -- elements ------------------------------------------------------------------------
+
+
+def test_parabolic_and_hecke_elements_stay_apart(alg_of):
+    # for I = {} both kinds share index sets and coefficients
+    H = alg_of("A1")
+    s = H.system.element_from_word([0])
+    M = H.parabolic([])
+    assert M.delta(s) != H.std(s) and H.std(s) != M.delta(s)
+    assert str(M.delta(s)) == "(1*v^0) * H^I[s1]"
+    assert str(H.std(s)) == "(1*v^0) * H[s1]"
+    assert H.std(s) * H.std(s) == H.mult(H.std(s), H.std(s))
+    assert V * M.delta(s) == M.delta(s) * V == M.elt({s: V})
+    assert (M.delta(s) - M.delta(s)).is_zero()
+    with pytest.raises(TypeError):
+        M.delta(s) * M.delta(s)
+
+
 # -- the action of KL_s ----------------------------------------------------------
 
 
