@@ -75,13 +75,14 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=False))
 
 
-def _print_table(system: CoxeterSystem, fmt: str, head: dict,
+def _print_table(system: CoxeterSystem, elements, fmt: str, head: dict,
                  keys: tuple[str, str, str], header: str, rows) -> None:
-    """Print (a, b, polynomial) rows as JSON objects with the given keys,
-    or as TSV lines below `header`.  `rows` may be a generator, so TSV
-    streams without holding the table twice.  A table repeats few
-    distinct polynomials many times, so each one is rendered once."""
-    word = system.word_str
+    """Print (a, b, polynomial) rows over `elements` as JSON objects with
+    the given keys, or as TSV lines below `header`.  `rows` may be a
+    generator, so TSV streams without holding the table twice.  A table
+    repeats few words and few distinct polynomials many times, so each
+    one is rendered once."""
+    word = {w: system.word_str(w) for w in elements}
     memo: dict = {}
     if fmt == "json":
         ka, kb, kp = keys
@@ -90,7 +91,7 @@ def _print_table(system: CoxeterSystem, fmt: str, head: dict,
             pairs = memo.get(p)
             if pairs is None:
                 pairs = memo[p] = p.to_pairs()
-            out.append({ka: word(a), kb: word(b), kp: pairs})
+            out.append({ka: word[a], kb: word[b], kp: pairs})
         _print_json({**head, "rows": out})
         return
     write = sys.stdout.write
@@ -99,7 +100,7 @@ def _print_table(system: CoxeterSystem, fmt: str, head: dict,
         text = memo.get(p)
         if text is None:
             text = memo[p] = str(p)
-        write(f"{word(a)}\t{word(b)}\t{text}\n")
+        write(f"{word[a]}\t{word[b]}\t{text}\n")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -112,8 +113,8 @@ def cmd_kl_table(args) -> int:
     kls = [algebra.kl_basis(x) for x in range(system.size)]
     rows = ((y, x, kl.terms[y])
             for x, kl in enumerate(kls) for y in sorted(kl.terms))
-    _print_table(system, args.format, {"system": label}, ("y", "x", "h"),
-                 "# y\tx\th", rows)
+    _print_table(system, range(system.size), args.format, {"system": label},
+                 ("y", "x", "h"), "# y\tx\th", rows)
     return 0
 
 
@@ -123,7 +124,7 @@ def cmd_parabolic_tables(args) -> int:
     module = algebra.parabolic(_parse_subset(system, args.subset))
     pkls = [(x, module.kl_basis(x)) for x in module.reps]
     rows = ((y, x, pkl.terms[y]) for x, pkl in pkls for y in sorted(pkl.terms))
-    _print_table(system, args.format,
+    _print_table(system, module.reps, args.format,
                  {"system": label, "subset": module.subset_labels()},
                  ("y", "x", "h"), "# y\tx\th^I", rows)
     return 0
@@ -136,7 +137,7 @@ def cmd_inverse_tables(args) -> int:
     # all rows come before the first line is printed; g[x] has a key at each z >= x
     g = {x: module.inverse_row(x) for x in module.reps}
     rows = ((x, z, g[x][z]) for z in module.reps for x in module.reps if z in g[x])
-    _print_table(system, args.format,
+    _print_table(system, module.reps, args.format,
                  {"system": label, "subset": module.subset_labels()},
                  ("x", "z", "g"), "# x\tz\tg^I", rows)
     return 0
@@ -147,9 +148,7 @@ def cmd_rouquier_shape(args) -> int:
     algebra = HeckeAlgebra(system)
     module = algebra.parabolic(_parse_subset(system, args.subset))
     x = _parse_rep(module, args.x)
-    shape = rouquier.f_shape(module, x)
-    if args.negative:
-        shape = rouquier.e_shape(module, x)
+    shape = (rouquier.e_shape if args.negative else rouquier.f_shape)(module, x)
     if args.format == "json":
         _print_json({
             "system": label,

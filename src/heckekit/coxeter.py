@@ -253,9 +253,7 @@ class CoxeterSystem:
     """A fully enumerated finite Coxeter system.  Build with `build`.
 
     Immutable after construction except the lazily filled coset memo
-    tables and the word-string table `_word_strs` (the dotted word of
-    each element, filled on first use by `word_str`), whose entries are
-    deterministic values.
+    tables, whose entries are deterministic values.
     """
 
     def __init__(self, matrix: CoxeterMatrix, lengths, words, right, left, inv):
@@ -272,7 +270,6 @@ class CoxeterSystem:
         self.longest = self.size - 1
         self._subgroup: dict[frozenset[int], tuple[int, ...]] = {}
         self._min_reps: dict[frozenset[int], tuple[int, ...]] = {}
-        self._word_strs: dict[int, str] = {}
 
     # -- generators and words ---------------------------------------------
 
@@ -293,12 +290,8 @@ class CoxeterSystem:
         raise ValueError(f"unknown generator label {label!r}")
 
     def word_str(self, w: int) -> str:
-        text = self._word_strs.get(w)
-        if text is None:
-            word = self.words[w]
-            text = ".".join(self.gen_label(s) for s in word) if word else "e"
-            self._word_strs[w] = text
-        return text
+        word = self.words[w]
+        return ".".join(self.gen_label(s) for s in word) if word else "e"
 
     def parse_element(self, text: str) -> int:
         """Read an element from a dotted word like "s1.s2" ("e" = identity)."""

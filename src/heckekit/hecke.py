@@ -19,8 +19,9 @@ w = s1 ... sk, i.e. bar(H_w) = (H_{w^-1})^-1.
 The KL recursion uses the descent identity (Kazhdan-Lusztig, Invent.
 Math. 53 (1979), §2: P_{y,w} = P_{sy,w} when sw < w): if s is a left
 descent of x, then h_{w,x} = v h_{sw,x} for every w with sw > w.  So
-`kl_basis` computes only the coefficients at the s-descents w and reads
-the rest off by a shift of v.
+`_kl_terms` computes only the coefficients at the s-descents w and reads
+the rest off by a shift of v.  It also runs over W^I in the two parabolic
+modules (parabolic.py); H is the case W^I = W.
 """
 
 from __future__ import annotations
@@ -138,11 +139,11 @@ class HeckeAlgebra:
     """Hecke algebra attached to a CoxeterSystem.
 
     Keeps per-system memo tables: bar of standard basis elements, the
-    Kazhdan-Lusztig basis, the interning table `_polys` that maps each
-    KL coefficient to the one shared object standing for every equal
-    entry, and the shift map `_shifted` from an interned coefficient p
-    to the interned v p (at most one entry per interned value).  Queries
-    are pure in (system, arguments).
+    KL basis `_kl`, the parabolic modules, the interning table `_polys`
+    that maps each KL coefficient, of H or of a module, to the one shared
+    object standing for every equal entry, and the shift map `_shifted`
+    from an interned p to the interned v p.  Queries are pure in (system,
+    arguments).
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -252,39 +253,51 @@ class HeckeAlgebra:
     # -- Kazhdan-Lusztig basis -----------------------------------------------------
 
     def kl_basis(self, x: int) -> HeckeElt:
-        """KL_x, by the inductive algorithm on the first letter s of x:
+        """KL_x, by the descent recursion of `_kl_terms` over all of W."""
+        cached = self._kl.get(x)
+        if cached is None:
+            terms = self._kl_terms(x, lambda z: self.kl_basis(z).terms,
+                                   self.system._left, ZERO)
+            cached = self._kl[x] = HeckeElt(self, terms)
+        return cached
+
+    def _kl_terms(self, x: int, element, left, fixed: LaurentPoly
+                  ) -> dict[int, LaurentPoly]:
+        """The KL element of x in H or in a parabolic module over W^I, as
+        a term map, by the inductive algorithm on the first letter s of x:
 
             KL_x = KL_s KL_{sx} - sum_z mu(z, sx) KL_z
 
-        over z < sx with sz < z, where mu is the coefficient of v.  Every
-        element on the right has s as a left descent, so its coefficients
-        obey the descent identity h_{w,u} = v h_{sw,u} for sw > w
-        (Kazhdan-Lusztig 1979, P_{y,w} = P_{sy,w}).  Only the upper
-        coefficients, at w with sw < w, are computed: the KL_s action
-        gives a_{sw} + v^-1 a_w from a = KL_{sx}, the mu terms are
-        subtracted in place in plain exponent maps, and each result is
-        interned once.  The lower partner sw then gets v times it, read
-        from the shift map.
+        over z < sx with sz < z, or sz = z if `fixed` is nonzero.
+        `left[w][s]` is sw, or w where sw is not in W^I, and there
+        KL_s P_w = fixed P_w (v + v^-1 in M, 0 in N; never in H).
+        `element(z)` is the term map of z, cached by the caller.  By the
+        descent identity h_{w,u} = v h_{sw,u} for sw > w (Kazhdan-Lusztig
+        1979, P_{y,w} = P_{sy,w}), only the coefficients at w with sw <= w
+        are computed, in plain exponent maps, each interned once; the
+        partner sw gets v times it from the shift map.  Every position
+        reached is kept, so the keys are [e, x] in W^I, with zero values
+        in N only.
         """
-        cached = self._kl.get(x)
-        if cached is not None:
-            return cached
         polys = self._polys
         if x == 0:
-            result = self._kl[0] = HeckeElt(self, {0: polys.setdefault(ONE, ONE)})
-            return result
+            return {0: polys.setdefault(ONE, ONE)}
         sys = self.system
-        left, lengths = sys._left, sys.lengths
+        lengths = sys.lengths
         s = sys.words[x][0]
         y = left[x][s]
-        below = self.kl_basis(y)
+        below = element(y)
         upper: dict[int, dict[int, int]] = {}
-        for w, p in below.terms.items():
+        for w, p in below.items():
             sw = left[w][s]
             if lengths[sw] < lengths[w]:
                 u, d = w, -1
-            else:
+            elif sw != w:
                 u, d = sw, 0
+            else:
+                # w is its own partner: nothing else lands here
+                upper[w] = (p * fixed)._c
+                continue
             c = upper.get(u)
             if c is None:
                 upper[u] = {e + d: k for e, k in p._c.items()}
@@ -296,11 +309,14 @@ class HeckeAlgebra:
                     c[e] = k
                 else:
                     del c[e]
-        for z, hzy in below.terms.items():
+        for z, hzy in below.items():
             m = hzy._c.get(1)
-            if not m or z == y or lengths[left[z][s]] > lengths[z]:
+            if not m or z == y:
                 continue
-            for w, p in self.kl_basis(z).terms.items():
+            sz = left[z][s]
+            if lengths[sz] > lengths[z] or sz == z and not fixed:
+                continue
+            for w, p in element(z).items():
                 if lengths[left[w][s]] > lengths[w]:
                     continue
                 c = upper.get(w)
@@ -316,20 +332,19 @@ class HeckeAlgebra:
         shifted = self._shifted
         terms: dict[int, LaurentPoly] = {}
         for w, c in upper.items():
-            if not c:
-                continue
             p = LaurentPoly.__new__(LaurentPoly)
             p._c = c
-            p = polys.setdefault(p, p)
+            p = terms[w] = polys.setdefault(p, p)
+            sw = left[w][s]
+            if sw == w:
+                continue
             q = shifted.get(p)
             if q is None:
                 q = LaurentPoly.__new__(LaurentPoly)
                 q._c = {e + 1: k for e, k in c.items()}
                 q = shifted[p] = polys.setdefault(q, q)
-            terms[w] = p
-            terms[left[w][s]] = q
-        result = self._kl[x] = HeckeElt(self, terms)
-        return result
+            terms[sw] = q
+        return terms
 
     def kl_poly(self, y: int, x: int) -> LaurentPoly:
         """h_{y,x}: the H_y coefficient of KL_x (0 unless y <= x)."""

@@ -2,15 +2,20 @@
 
 Elements are stored in the standard parabolic basis {P_x = H_x KL_{w_I}},
 indexed by the minimal coset representatives x in W^I, on which each
-KL_s acts by Deodhar's three cases (`kl_gen_mult`).  The parabolic KL
-basis is PKL_x = KL_{x w_I}, read back through the ideal.  The inverse
-parabolic KL polynomials, the solution g_{x,z} of
+KL_s acts by Deodhar's three cases (`kl_gen_mult`).  This is the
+spherical module M; the antispherical module N differs only in
+KL_s N_x = 0 where sx is not in W^I (Deodhar, J. Algebra 111 (1987);
+Soergel, Represent. Theory 1 (1997), §3).  The KL bases of both come
+from the recursion of H (`HeckeAlgebra._kl_terms`) run over W^I, so no
+element of H is computed; for I = {} both modules are H and read its
+table.  PKL_x embeds as KL_{x w_I}.  The inverse parabolic KL
+polynomials, the solution g_{x,z} of
 
     sum_y (-1)^(l(y) - l(x)) g_{x,y} h_{y,z} = delta_{x,z},
 
-come by KL duality from one KL element of H per row x:
-g_{x,z} = sum_{u in W_I} (-v)^(l(u)) h_{w0 z w_I u, w0 x w_I}, which for
-I = {} is the classical g_{x,z} = h_{w0 z, w0 x}.
+are by KL duality the coefficients g_{x,z} = n_{w0 z w_I, w0 x w_I} of
+the KL basis of N, where Soergel's n_{y,x} = sum_{u in W_I} (-v)^(l(u))
+h_{yu,x}; for I = {} this is the classical g_{x,z} = h_{w0 z, w0 x}.
 """
 
 from __future__ import annotations
@@ -44,20 +49,23 @@ class ParabolicModule:
 
     def __init__(self, algebra: HeckeAlgebra, subset):
         self.algebra = algebra
-        self.system = algebra.system
-        self.subset = self.system.subset(subset)
-        self.w_long = self.system.longest_in(self.subset)
-        self.shift = self.system.lengths[self.w_long]
-        self.reps = self.system.min_reps(self.subset)
+        self.system = sys = algebra.system
+        self.subset = sys.subset(subset)
+        self.w_long = sys.longest_in(self.subset)
+        self.shift = sys.lengths[self.w_long]
+        self.reps = sys.min_reps(self.subset)
         self._rep_set = frozenset(self.reps)
-        self._wi_elems = self.system.subgroup(self.subset)
+        self._wi_elems = sys.subgroup(self.subset)
+        # KL_s on W^I for the recursion: sw, or w where sw is not in W^I
+        self._left = {w: tuple(sw if sw in self._rep_set else w for sw in sys._left[w])
+                      for w in self.reps}
+        # r -> w0 r w_I, an order-reversing involution of W^I
+        self._opposite = {r: sys.mult(sys.mult(sys.longest, r), self.w_long)
+                          for r in self.reps}
+        # memo tables: PKL_x, the KL elements of N, the inverse rows
         self._pkl: dict[int, ParabolicElt] = {}
+        self._nkl: dict[int, dict[int, LaurentPoly]] = {}
         self._rows: dict[int, dict[int, LaurentPoly]] = {}
-        # shared values: h -> h v^(-l(w_I)) for `_restrict`, and the
-        # interning table of the inverse rows
-        self._down: dict[LaurentPoly, LaurentPoly] = {}
-        self._gvals: dict[LaurentPoly, LaurentPoly] = {}
-        self._dual: dict[int, tuple[int, int, int]] = {}
 
     def poincare(self) -> LaurentPoly:
         return self.system.poincare(self.subset)
@@ -128,28 +136,13 @@ class ParabolicModule:
                 _acc(out, w, c * vpow(self.shift - sys.lengths[u]))
         return HeckeElt(self.algebra, out)
 
-    def _restrict(self, terms: Mapping[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-        """Parabolic coefficients: H_y coefficients over v^(l(w_I)), y in W^I.
-
-        Each distinct coefficient is divided once, so equal entries share
-        one value, as the KL coefficients they come from do.
-        """
-        down = vpow(-self.shift)
-        memo = self._down
-        out = {}
-        for y in self.reps:
-            c = terms.get(y)
-            if c is not None:
-                d = memo.get(c)
-                if d is None:
-                    d = memo[c] = c * down
-                out[y] = d
-        return out
-
     def extract(self, h: HeckeElt) -> ParabolicElt:
-        """Invert embed on the ideal, validated by re-embedding; raises
+        """Invert embed on the ideal, reading the H_y coefficients over
+        v^(l(w_I)) at y in W^I, validated by re-embedding; raises
         NotInIdeal otherwise."""
-        p = ParabolicElt(self, self._restrict(h.terms))
+        down = vpow(-self.shift)
+        p = ParabolicElt(self, {y: c * down for y, c in h.terms.items()
+                                if y in self._rep_set})
         if self.embed(p) != h:
             raise NotInIdeal("element is not in the ideal H * KL_{w_I}")
         return p
@@ -157,14 +150,17 @@ class ParabolicModule:
     # -- parabolic KL basis ---------------------------------------------------------
 
     def kl_basis(self, x: int) -> ParabolicElt:
-        """PKL_x: the W^I coefficients of KL_{x w_I}; unitriangular at x."""
+        """PKL_x, the KL element of x in M; unitriangular at x."""
         cached = self._pkl.get(x)
-        if cached is not None:
-            return cached
-        self._check_rep(x)
-        kl = self.algebra.kl_basis(self.system.mult(x, self.w_long))
-        p = self._pkl[x] = ParabolicElt(self, self._restrict(kl.terms))
-        return p
+        if cached is None:
+            self._check_rep(x)
+            if self.subset:
+                terms = self.algebra._kl_terms(
+                    x, lambda z: self.kl_basis(z).terms, self._left, _V_PLUS_VINV)
+            else:
+                terms = self.algebra.kl_basis(x).terms
+            cached = self._pkl[x] = ParabolicElt(self, terms)
+        return cached
 
     def kl_poly(self, y: int, x: int) -> LaurentPoly:
         """h_{y,x} in the parabolic module."""
@@ -173,38 +169,31 @@ class ParabolicModule:
 
     # -- inverse parabolic KL polynomials ----------------------------------------------
 
+    def _antispherical(self, m: int) -> dict[int, LaurentPoly]:
+        """The KL element of m in N, a term map over [e, m] in W^I with
+        its zero values kept (I != {})."""
+        cached = self._nkl.get(m)
+        if cached is None:
+            cached = self._nkl[m] = self.algebra._kl_terms(
+                m, self._antispherical, self._left, ZERO)
+        return cached
+
     def inverse_row(self, x: int) -> dict[int, LaurentPoly]:
         """{z: g_{x,z}} for all z >= x in W^I, zero values included.
 
-        m = w0 x w_I is the minimal representative of w0 x W_I.  One pass
-        over the support of KL_m sends each y = w0 z w_I u to the entry of
-        z with the term (-v)^(l(u)) h_{y,m}.  The support is all of [e, m],
-        and the coset w0 z W_I meets it exactly when x <= z, so the keys
-        of the row are the upper Bruhat interval of x in W^I.
+        The row is the KL element of m = w0 x w_I in N (KL_m in H for
+        I = {}) reindexed by r -> w0 r w_I.  Its keys are the positions
+        the recursion reaches, [e, m] in W^I, and the reindexing reverses
+        the Bruhat order, so they are the upper interval of x.
         """
-        if x in self._rows:
-            return self._rows[x]
-        self._check_rep(x)
-        sys = self.system
-        if not self._dual:
-            # w0 r u' -> (r, l(u), (-1)^l(u)) for r in W^I and u' = w_I u
-            for r in self.reps:
-                w0r = sys.mult(sys.longest, r)
-                for u1 in self._wi_elems:
-                    lu = self.shift - sys.lengths[u1]
-                    self._dual[sys.mult(w0r, u1)] = (r, lu, -1 if lu % 2 else 1)
-        m = sys.mult(sys.mult(sys.longest, x), self.w_long)
-        acc: dict[int, dict[int, int]] = {}
-        for y, h in self.algebra.kl_basis(m).terms.items():
-            z, lu, sign = self._dual[y]
-            c = acc.setdefault(z, {})
-            for e, k in h.items():
-                c[e + lu] = c.get(e + lu, 0) + sign * k
-        vals = self._gvals
-        row = self._rows[x] = {}
-        for z, c in acc.items():
-            g = LaurentPoly(c)
-            row[z] = vals.setdefault(g, g)
+        row = self._rows.get(x)
+        if row is None:
+            self._check_rep(x)
+            opposite = self._opposite
+            m = opposite[x]
+            terms = (self._antispherical(m) if self.subset
+                     else self.algebra.kl_basis(m).terms)
+            row = self._rows[x] = {opposite[r]: g for r, g in terms.items()}
         return row
 
     def inverse_kl(self, x: int, z: int) -> LaurentPoly:

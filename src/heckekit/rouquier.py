@@ -18,6 +18,7 @@ from .hecke import _acc
 # perfbench/selftest.py checks that the tracer wraps it in this namespace.
 from .laurent import LaurentPoly, div_exact, vpow  # noqa: F401
 from .parabolic import ParabolicElt, ParabolicModule
+from .soergel import Character
 
 Term = tuple[int, int, int]  # (element of W^I, grading shift, multiplicity)
 
@@ -105,15 +106,12 @@ def e_shape(module: ParabolicModule, x: int) -> ComplexShape:
 def _kl_sum(shape: ComplexShape, twist: int) -> ParabolicElt:
     """sum over terms (y, shift, mult) in degree d of
     (-1)^d mult v^(twist * shift) PKL_y; twist -1 bars the coefficients."""
-    module = shape.module
-    acc: dict[int, LaurentPoly] = {}
+    coeffs: dict[int, LaurentPoly] = {}
     for deg, entries in shape.terms.items():
         sign = -1 if deg % 2 else 1
         for y, shift, mult in entries:
-            c = (sign * mult) * vpow(twist * shift)
-            for w, h in module.kl_basis(y).terms.items():
-                _acc(acc, w, c * h)
-    return ParabolicElt(module, acc)
+            _acc(coeffs, y, (sign * mult) * vpow(twist * shift))
+    return Character(shape.module, coeffs).to_parabolic()
 
 
 def shape_character(shape: ComplexShape) -> ParabolicElt:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .hecke import _acc
 # div_exact: see the note in rouquier.py.
 from .laurent import LaurentPoly, ONE, ZERO, div_exact, vpow  # noqa: F401
 from .parabolic import ParabolicElt, ParabolicModule
@@ -40,11 +41,13 @@ class Character:
         return iter(sorted(self.coeffs.items()))
 
     def to_parabolic(self) -> ParabolicElt:
-        """Expand back into the standard parabolic basis."""
-        acc = self.module.zero()
+        """Expand back into the standard parabolic basis: sum_y c_y PKL_y."""
+        module = self.module
+        acc: dict[int, LaurentPoly] = {}
         for y, c in self.coeffs.items():
-            acc = acc + c * self.module.kl_basis(y)
-        return acc
+            for w, h in module.kl_basis(y).terms.items():
+                _acc(acc, w, c * h)
+        return ParabolicElt(module, acc)
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -5,14 +5,16 @@ implementation it checks: the KL coefficients by solving the
 bar-invariance system directly, the Bruhat order by the subword
 property, basis decompositions by a standalone back-substitution, the
 bilinear pairing by multiplying out eps(a(h1) h2), Bott-Samelson
-characters by products in H instead of in the parabolic module, and the
+characters by products in H instead of in the parabolic module, the
 KL basis by whole-element generator products instead of the library's
-half-table descent recursion.
+half-table descent recursion, and the parabolic KL basis and the inverse
+parabolic KL rows through the full Hecke algebra instead of the
+recursions over W^I in the two parabolic modules.
 """
 
 import functools
 
-from heckekit.laurent import LaurentPoly, ONE, ZERO
+from heckekit.laurent import LaurentPoly, ONE, ZERO, vpow
 
 
 def bar_solve_kl(algebra, x):
@@ -67,6 +69,46 @@ def kl_basis_via_gen_mult(algebra, x):
         if m and z != y and s in sys.descents(z, "left"):
             result = result - m * kl_basis_via_gen_mult(algebra, z)
     return result
+
+
+def pkl_via_hecke(module, x):
+    """PKL_x as the W^I coefficients of KL_{x w_I} in H over v^(l(w_I))."""
+    sys = module.system
+    kl = module.algebra.kl_basis(sys.mult(x, module.w_long))
+    down = vpow(-module.shift)
+    reps = set(module.reps)
+    return {y: c * down for y, c in kl.terms.items() if y in reps}
+
+
+@functools.lru_cache(maxsize=None)
+def _dual_positions(module):
+    """w0 r w_I u -> (r, l(u)) over r in W^I and u in W_I."""
+    sys = module.system
+    out = {}
+    for r in module.reps:
+        w0r = sys.mult(sys.longest, r)
+        for u1 in sys.subgroup(module.subset):
+            out[sys.mult(w0r, u1)] = (r, module.shift - sys.lengths[u1])
+    return out
+
+
+def inverse_row_via_duality(module, x):
+    """{z: g_{x,z}} by KL duality from one KL element of H:
+
+        g_{x,z} = sum_{u in W_I} (-v)^(l(u)) h_{w0 z w_I u, w0 x w_I},
+
+    one entry per coset w0 z W_I that meets the support [e, w0 x w_I],
+    zero sums included."""
+    sys = module.system
+    dual = _dual_positions(module)
+    m = sys.mult(sys.mult(sys.longest, x), module.w_long)
+    acc = {}
+    for y, h in module.algebra.kl_basis(m).terms.items():
+        z, lu = dual[y]
+        c = acc.setdefault(z, {})
+        for e, k in h.items():
+            c[e + lu] = c.get(e + lu, 0) + (-1) ** lu * k
+    return {z: LaurentPoly(c) for z, c in acc.items()}
 
 
 def bruhat_lower_set(system, y):

@@ -4,10 +4,14 @@ import re
 
 import pytest
 
-from heckekit import NotInIdeal
+from heckekit import HeckeAlgebra, NotInIdeal
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 
-from oracles import signed_inverse_from_decomposition
+from oracles import (
+    inverse_row_via_duality,
+    pkl_via_hecke,
+    signed_inverse_from_decomposition,
+)
 
 CROSS_ROUTE_TYPES = ["A1xA1", "I2(5)", "A3", "B3", "D4"]
 
@@ -190,6 +194,16 @@ def test_pkl_embeds_to_full_kl_element(alg_of, name):
                 subset, x)
 
 
+@pytest.mark.parametrize("name", CROSS_ROUTE_TYPES)
+def test_pkl_matches_hecke_route(alg_of, name):
+    # the recursion in M against the W^I coefficients of KL_{x w_I}
+    H = alg_of(name)
+    for subset in _all_subsets(H.system.rank):
+        M = H.parabolic(subset)
+        for x in M.reps:
+            assert M.kl_basis(x).terms == pkl_via_hecke(M, x), (subset, x)
+
+
 def test_pkl_a3_cross_check(alg_of):
     H = alg_of("A3")
     M = H.parabolic([0, 1])
@@ -298,6 +312,27 @@ def test_inverse_row_keys_are_upper_interval(alg_of, name):
             for z in M.reps:
                 assert (z in row) == W.bruhat_leq(x, z), (subset, x, z)
             assert row[x] == ONE
+
+
+@pytest.mark.parametrize("name", CROSS_ROUTE_TYPES)
+def test_inverse_row_matches_duality_route(alg_of, name):
+    # the recursion in N against KL duality in H, keys and zero values included
+    H = alg_of(name)
+    for subset in _all_subsets(H.system.rank):
+        M = H.parabolic(subset)
+        for x in M.reps:
+            assert M.inverse_row(x) == inverse_row_via_duality(M, x), (subset, x)
+
+
+def test_modules_compute_no_hecke_kl_element(sys_of):
+    # for I != {} both recursions run over W^I, apart from the table of H
+    H = HeckeAlgebra(sys_of("D4"))
+    for subset in ([0], [0, 1]):
+        M = H.parabolic(subset)
+        for x in M.reps:
+            M.kl_basis(x)
+            M.inverse_row(x)
+    assert not H._kl
 
 
 @pytest.mark.parametrize("name, zeros", [("A3", 60), ("D4", 5162)])
