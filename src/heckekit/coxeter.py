@@ -3,9 +3,11 @@
 A system is fully enumerated at construction time.  Elements are opaque
 integer indices into a canonical enumeration: length ascending, ties
 broken by the lexicographically smallest reduced word, identity at
-position 0.  All group structure (multiplication by generators on both
-sides, inverses, Bruhat order, coset machinery) is answered from tables
-built once, so queries are pure functions of (system, arguments).
+position 0.  Multiplication by generators on both sides, inverses and
+Bruhat order are answered from tables built once; the coset machinery of
+a subset I (W_I, W^I, w = y u) reads one table, the minimal coset
+representative of every element, built on first use.  Queries are pure
+functions of (system, arguments).
 
 Elements are enumerated by one of two exact realizations:
 
@@ -252,8 +254,8 @@ def _dihedral_gens(matrix: CoxeterMatrix):
 class CoxeterSystem:
     """A fully enumerated finite Coxeter system.  Build with `build`.
 
-    Immutable after construction except the lazily filled coset memo
-    tables, whose entries are deterministic values.
+    Immutable after construction except the lazily filled coset table
+    per subset, whose entries are deterministic values.
     """
 
     def __init__(self, matrix: CoxeterMatrix, lengths, words, right, left, inv):
@@ -268,8 +270,7 @@ class CoxeterSystem:
         if self.size > 1 and lengths[-1] == lengths[-2]:
             raise RuntimeError("no unique longest element; enumeration is broken")
         self.longest = self.size - 1
-        self._subgroup: dict[frozenset[int], tuple[int, ...]] = {}
-        self._min_reps: dict[frozenset[int], tuple[int, ...]] = {}
+        self._reps: dict[frozenset[int], list[int]] = {}
 
     # -- generators and words ---------------------------------------------
 
@@ -319,7 +320,12 @@ class CoxeterSystem:
         return self.words[w]
 
     def mult_gen(self, w: int, s: int, side: str = "right") -> int:
-        return self._table(side)[w][s]
+        table = self._table(side)
+        if not 0 <= w < self.size:
+            raise ValueError(f"element index {w} out of range")
+        if not 0 <= s < self.rank:
+            raise ValueError(f"generator index {s} out of range")
+        return table[w][s]
 
     def mult(self, w: int, u: int) -> int:
         """The product w * u (replays u's canonical word)."""
@@ -370,16 +376,23 @@ class CoxeterSystem:
                 raise ValueError(f"generator index {s} out of range")
         return out
 
-    def subgroup(self, subset: Iterable[int]) -> tuple[int, ...]:
-        """Elements of W_I in enumeration order (canonical word uses only I)."""
+    def _coset_reps(self, subset: Iterable[int]) -> list[int]:
+        """rep[w], the minimal representative of w W_I, for every w: one
+        pass in enumeration order, rep[w] = rep[ws] for the first s in I
+        with ws < w (ws comes earlier), and rep[w] = w if there is none."""
         key = self.subset(subset)
-        cached = self._subgroup.get(key)
-        if cached is None:
-            cached = tuple(
-                w for w in range(self.size) if set(self.words[w]) <= key
-            )
-            self._subgroup[key] = cached
-        return cached
+        rep = self._reps.get(key)
+        if rep is None:
+            gens, lengths = sorted(key), self.lengths
+            rep = self._reps[key] = []
+            for w, row in enumerate(self._right):
+                ws = next((row[s] for s in gens if lengths[row[s]] < lengths[w]), w)
+                rep.append(w if ws == w else rep[ws])
+        return rep
+
+    def subgroup(self, subset: Iterable[int]) -> tuple[int, ...]:
+        """Elements of W_I in enumeration order: the coset of e."""
+        return tuple(w for w, r in enumerate(self._coset_reps(subset)) if r == 0)
 
     def longest_in(self, subset: Iterable[int]) -> int:
         return self.subgroup(subset)[-1]
@@ -390,41 +403,20 @@ class CoxeterSystem:
 
     def is_min_coset_rep(self, w: int, subset: Iterable[int]) -> bool:
         """True iff ws > w for every s in I (w is minimal in w W_I)."""
-        lw = self.lengths[w]
-        return all(self.lengths[self._right[w][s]] > lw for s in self.subset(subset))
+        return self._coset_reps(subset)[w] == w
 
     def min_reps(self, subset: Iterable[int]) -> tuple[int, ...]:
-        key = self.subset(subset)
-        cached = self._min_reps.get(key)
-        if cached is None:
-            cached = tuple(
-                w for w in range(self.size) if self.is_min_coset_rep(w, key)
-            )
-            self._min_reps[key] = cached
-        return cached
+        """W^I in enumeration order."""
+        return tuple(w for w, r in enumerate(self._coset_reps(subset)) if r == w)
 
     def coset_decompose(self, w: int, subset: Iterable[int]) -> tuple[int, int]:
         """Split w = y * u with y minimal in w W_I, u in W_I, lengths adding."""
-        key = self.subset(subset)
-        stripped: list[int] = []
-        cur = w
-        while True:
-            lcur = self.lengths[cur]
-            for s in sorted(key):
-                if self.lengths[self._right[cur][s]] < lcur:
-                    stripped.append(s)
-                    cur = self._right[cur][s]
-                    break
-            else:
-                break
-        u = 0
-        for s in reversed(stripped):
-            u = self._right[u][s]
-        return cur, u
+        y = self._coset_reps(subset)[w]
+        return y, self.mult(self._inv[y], w)
 
     def project_q(self, w: int, subset: Iterable[int]) -> int:
         """The projection W -> W/W_I composed with the minimal-rep section."""
-        return self.coset_decompose(w, subset)[0]
+        return self._coset_reps(subset)[w]
 
 
 def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:

@@ -214,16 +214,25 @@ class HeckeAlgebra:
         On a standard term: KL_s H_w = H_{sw} + v H_w if sw > w, and
         H_{sw} + v^-1 H_w if sw < w.
         """
-        sys = self.system
+        return HeckeElt(self, self._kl_gen_terms(h.terms, s, self.system._left, ZERO))
+
+    def _kl_gen_terms(self, terms: Mapping[int, LaurentPoly], s: int, left,
+                      fixed: LaurentPoly) -> dict[int, LaurentPoly]:
+        """KL_s times a term map over W^I, with `left` and `fixed` as in
+        `_kl_terms`: KL_s P_w is P_{sw} + v P_w if sw > w, P_{sw} + v^-1 P_w
+        if sw < w, and fixed P_w where left[w][s] = w."""
+        if not 0 <= s < self.system.rank:
+            raise ValueError(f"generator index {s} out of range")
+        lengths = self.system.lengths
         out: dict[int, LaurentPoly] = {}
-        for w, c in h.terms.items():
-            sw = sys._left[w][s]
-            _acc(out, sw, c)
-            if sys.lengths[sw] > sys.lengths[w]:
-                _acc(out, w, c * V)
+        for w, c in terms.items():
+            sw = left[w][s]
+            if sw == w:
+                _acc(out, w, c * fixed)
             else:
-                _acc(out, w, c * V_INV)
-        return HeckeElt(self, out)
+                _acc(out, sw, c)
+                _acc(out, w, c * (V if lengths[sw] > lengths[w] else V_INV))
+        return out
 
     # -- bar involution ---------------------------------------------------------
 
@@ -256,6 +265,8 @@ class HeckeAlgebra:
         """KL_x, by the descent recursion of `_kl_terms` over all of W."""
         cached = self._kl.get(x)
         if cached is None:
+            if not 0 <= x < self.system.size:
+                raise ValueError(f"element index {x} out of range")
             terms = self._kl_terms(x, lambda z: self.kl_basis(z).terms,
                                    self.system._left, ZERO)
             cached = self._kl[x] = HeckeElt(self, terms)

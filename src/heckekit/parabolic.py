@@ -109,16 +109,8 @@ class ParabolicModule:
             KL_s P_x = P_{sx} + v^-1 P_x    if sx < x,
             KL_s P_x = (v + v^-1) P_x       if sx not in W^I (sx = x t, t in I).
         """
-        sys = self.system
-        out: dict[int, LaurentPoly] = {}
-        for x, c in p.terms.items():
-            sx = sys._left[x][s]
-            if sx not in self._rep_set:
-                _acc(out, x, c * _V_PLUS_VINV)
-            else:
-                _acc(out, sx, c)
-                _acc(out, x, c * (V if sys.lengths[sx] > sys.lengths[x] else V_INV))
-        return ParabolicElt(self, out)
+        return ParabolicElt(self, self.algebra._kl_gen_terms(
+            p.terms, s, self._left, _V_PLUS_VINV))
 
     # -- embedding into the Hecke algebra ----------------------------------------
 

@@ -1,74 +1,48 @@
 """Character-level calculus for singular Soergel bimodules.
 
-A Character stores the expansion of an ideal element in the parabolic KL
-basis {PKL_y}; under the KL dictionary its coefficients are the graded
-multiplicities of the indecomposable objects.  On top of that sit the
-Bott-Samelson characters, the Hom-formula graded ranks, the support
+A Character is the expansion of an element of the parabolic module in
+its KL basis {PKL_y}, y in W^I: a `TermElt` over W^I printed as
+`(c) * PKL[word]`.  Under the KL dictionary its coefficients are the
+graded multiplicities of the indecomposable objects.  On top of that sit
+the Bott-Samelson characters, the Hom-formula graded ranks, the support
 graded ranks and the perversity test, all computed over W^I.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from .hecke import _acc
+from .hecke import TermElt, _acc
 # div_exact: see the note in rouquier.py.
-from .laurent import LaurentPoly, ONE, ZERO, div_exact, vpow  # noqa: F401
+from .laurent import LaurentPoly, ONE, div_exact, vpow  # noqa: F401
 from .parabolic import ParabolicElt, ParabolicModule
 
 
-class Character:
-    """A finite map (element of W^I) -> LaurentPoly of KL-basis coefficients."""
+class Character(TermElt):
+    """A finite map (element of W^I) -> LaurentPoly of KL-basis
+    coefficients; `coeffs` and `module` name `terms` and `owner`."""
 
-    __slots__ = ("module", "coeffs")
+    __slots__ = ()
+    _label = "PKL"
 
-    def __init__(self, module: ParabolicModule, coeffs: dict[int, LaurentPoly]):
-        self.module = module
-        self.coeffs = coeffs
+    @property
+    def module(self) -> ParabolicModule:
+        return self.owner
 
-    def coeff(self, y: int) -> LaurentPoly:
-        return self.coeffs.get(y, ZERO)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Character):
-            return NotImplemented
-        return self.module is other.module and self.coeffs == other.coeffs
-
-    def items(self) -> Iterator[tuple[int, LaurentPoly]]:
-        return iter(sorted(self.coeffs.items()))
+    @property
+    def coeffs(self) -> dict[int, LaurentPoly]:
+        return self.terms
 
     def to_parabolic(self) -> ParabolicElt:
         """Expand back into the standard parabolic basis: sum_y c_y PKL_y."""
         module = self.module
         acc: dict[int, LaurentPoly] = {}
-        for y, c in self.coeffs.items():
+        for y, c in self.terms.items():
             for w, h in module.kl_basis(y).terms.items():
                 _acc(acc, w, c * h)
         return ParabolicElt(module, acc)
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        sys = self.module.system
-        return " + ".join(
-            f"({self.coeffs[y]}) * PKL[{sys.word_str(y)}]"
-            for y in sorted(self.coeffs)
-        )
-
-    __repr__ = __str__
-
     def to_json_obj(self) -> dict:
-        sys = self.module.system
-        return {
-            "subset": self.module.subset_labels(),
-            "coeffs": [
-                {"word": sys.word_str(y), "poly": self.coeffs[y].to_pairs()}
-                for y in sorted(self.coeffs)
-            ],
-        }
+        return {"subset": self.module.subset_labels(),
+                "coeffs": super().to_json_obj()}
 
 
 def delta_char(module: ParabolicModule, x: int) -> Character:
@@ -88,16 +62,11 @@ def kl_decompose(p: ParabolicElt) -> Character:
     out: dict[int, LaurentPoly] = {}
     while work:
         y = max(work)  # enumeration order refines Bruhat order
-        c = work.pop(y)
-        out[y] = c
+        c = out[y] = work.pop(y)
+        nc = -c
         for z, h in module.kl_basis(y).terms.items():
-            if z == y:
-                continue
-            val = work.get(z, ZERO) - c * h
-            if val:
-                work[z] = val
-            elif z in work:
-                del work[z]
+            if z != y:
+                _acc(work, z, nc * h)
     return Character(module, out)
 
 

@@ -254,6 +254,20 @@ def test_coset_decompose(sys_of):
     assert top_u == W.longest_in([0, 1])
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "F4", "I2(7)", "A1xA2"])
+def test_cosets_match_their_definitions(sys_of, name):
+    # W_I: canonical word only in I; W^I: no right descent in I
+    W = sys_of(name)
+    for subset in itertools.chain.from_iterable(
+        itertools.combinations(range(W.rank), k) for k in range(W.rank + 1)
+    ):
+        I = set(subset)
+        assert W.subgroup(subset) == tuple(
+            w for w in range(W.size) if set(W.reduced_word(w)) <= I)
+        assert W.min_reps(subset) == tuple(
+            w for w in range(W.size) if not W.descents(w) & I)
+
+
 def test_projection_monotone(sys_of):
     # w >= v implies q(w) >= q(v)
     W = sys_of("B2")
@@ -273,6 +287,9 @@ def test_subset_validation(sys_of):
         W.subset([5])
     with pytest.raises(ValueError):
         W.mult_gen(0, 0, side="sideways")
+    for w, s in ((0, -1), (0, 3), (-1, 0), (W.size, 0)):
+        with pytest.raises(ValueError, match="index .* out of range"):
+            W.mult_gen(w, s)
 
 
 def test_word_parsing(sys_of):

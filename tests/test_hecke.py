@@ -328,3 +328,13 @@ def test_kl_coefficients_are_interned():
     for x in range(H.system.size):
         for p in H.kl_basis(x).terms.values():
             assert seen.setdefault(p, p) is p
+
+
+def test_kl_basis_rejects_bad_index_and_caches_none():
+    H = HeckeAlgebra(build_named("A2"))
+    for x in (-1, H.system.size):
+        with pytest.raises(ValueError, match=f"element index {x} out of range"):
+            H.kl_basis(x)
+    assert not H._kl
+    with pytest.raises(ValueError, match="generator index -1 out of range"):
+        H.kl_gen_mult(-1, H.unit())

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from heckekit import HeckeAlgebra, NotInIdeal
+from heckekit import Character, HeckeAlgebra, NotInIdeal
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 
 from oracles import (
@@ -102,6 +102,12 @@ def test_parabolic_and_hecke_elements_stay_apart(alg_of):
     assert (M.delta(s) - M.delta(s)).is_zero()
     with pytest.raises(TypeError):
         M.delta(s) * M.delta(s)
+    # a character with the same terms is a third kind
+    c = Character(M, {s: ONE})
+    assert c != M.delta(s) and M.delta(s) != c
+    assert str(c) == "(1*v^0) * PKL[s1]"
+    assert c.to_json_obj() == {"subset": [],
+                               "coeffs": [{"word": "s1", "poly": [[0, 1]]}]}
 
 
 # -- the action of KL_s ----------------------------------------------------------

@@ -91,6 +91,13 @@ def test_bs_single_generator(alg_of):
     assert c.coeffs == {s: ONE}
 
 
+def test_bs_rejects_bad_generator(alg_of):
+    M = alg_of("A3").parabolic([0])
+    for s in (-1, 3):
+        with pytest.raises(ValueError, match=f"generator index {s} out of range"):
+            bott_samelson_char(M, [s])
+
+
 def test_bs_worked_example_a3(alg_of):
     # KL_s KL_t KL_u KL_{w_I} over I = {s, t} decomposes with a
     # non-constant coefficient at the identity: not perverse
