@@ -291,6 +291,7 @@ class CoxeterSystem:
         raise ValueError(f"unknown generator label {label!r}")
 
     def word_str(self, w: int) -> str:
+        self._check_element(w)
         word = self.words[w]
         return ".".join(self.gen_label(s) for s in word) if word else "e"
 
@@ -312,7 +313,12 @@ class CoxeterSystem:
 
     # -- basic queries ------------------------------------------------------
 
+    def _check_element(self, w: int) -> None:
+        if not 0 <= w < self.size:
+            raise ValueError(f"element index {w} out of range")
+
     def length(self, w: int) -> int:
+        self._check_element(w)
         return self.lengths[w]
 
     def reduced_word(self, w: int) -> tuple[int, ...]:
@@ -321,8 +327,7 @@ class CoxeterSystem:
 
     def mult_gen(self, w: int, s: int, side: str = "right") -> int:
         table = self._table(side)
-        if not 0 <= w < self.size:
-            raise ValueError(f"element index {w} out of range")
+        self._check_element(w)
         if not 0 <= s < self.rank:
             raise ValueError(f"generator index {s} out of range")
         return table[w][s]
@@ -335,10 +340,12 @@ class CoxeterSystem:
         return w
 
     def inverse(self, w: int) -> int:
+        self._check_element(w)
         return self._inv[w]
 
     def descents(self, w: int, side: str = "right") -> frozenset[int]:
         table = self._table(side)
+        self._check_element(w)
         lw = self.lengths[w]
         return frozenset(s for s in range(self.rank) if self.lengths[table[w][s]] < lw)
 
@@ -403,6 +410,7 @@ class CoxeterSystem:
 
     def is_min_coset_rep(self, w: int, subset: Iterable[int]) -> bool:
         """True iff ws > w for every s in I (w is minimal in w W_I)."""
+        self._check_element(w)
         return self._coset_reps(subset)[w] == w
 
     def min_reps(self, subset: Iterable[int]) -> tuple[int, ...]:
@@ -411,11 +419,13 @@ class CoxeterSystem:
 
     def coset_decompose(self, w: int, subset: Iterable[int]) -> tuple[int, int]:
         """Split w = y * u with y minimal in w W_I, u in W_I, lengths adding."""
+        self._check_element(w)
         y = self._coset_reps(subset)[w]
         return y, self.mult(self._inv[y], w)
 
     def project_q(self, w: int, subset: Iterable[int]) -> int:
         """The projection W -> W/W_I composed with the minimal-rep section."""
+        self._check_element(w)
         return self._coset_reps(subset)[w]
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping, Sequence
 
 from .coxeter import CoxeterSystem
-from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot
+from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, lincomb
 
 _V_MINUS_VINV = V - V_INV
 _VINV_MINUS_V = V_INV - V
@@ -252,12 +252,8 @@ class HeckeAlgebra:
 
     def bar(self, h: HeckeElt) -> HeckeElt:
         """The bar involution: coefficients v -> v^-1, H_w -> (H_{w^-1})^-1."""
-        out: dict[int, LaurentPoly] = {}
-        for w, c in h.terms.items():
-            cb = c.bar()
-            for u, p in self._bar_of_basis(w).items():
-                _acc(out, u, p * cb)
-        return HeckeElt(self, out)
+        return HeckeElt(self, lincomb((c.bar(), self._bar_of_basis(w))
+                                      for w, c in h.terms.items()))
 
     # -- Kazhdan-Lusztig basis -----------------------------------------------------
 

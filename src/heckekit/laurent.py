@@ -274,6 +274,34 @@ def dot(a: Mapping[int, LaurentPoly], b: Mapping[int, LaurentPoly]) -> LaurentPo
     return out
 
 
+def lincomb(pairs: Iterable[tuple[LaurentPoly, Mapping[int, LaurentPoly]]]
+            ) -> dict[int, LaurentPoly]:
+    """sum_i c_i * m_i over (c_i, m_i) pairs of a polynomial and a sparse
+    map of polynomials, as a map with no zero values.
+
+    Every product is added into one exponent map per index and only the
+    non-zero sums are wrapped, so no intermediate polynomial is built.
+    """
+    acc: dict[int, dict[int, int]] = {}
+    for c, terms in pairs:
+        cs = c._c.items()
+        for w, p in terms.items():
+            a = acc.get(w)
+            if a is None:
+                a = acc[w] = {}
+            for e1, k1 in cs:
+                for e2, k2 in p._c.items():
+                    e = e1 + e2
+                    a[e] = a.get(e, 0) + k1 * k2
+    out: dict[int, LaurentPoly] = {}
+    for w, a in acc.items():
+        a = {e: k for e, k in a.items() if k}
+        if a:
+            p = out[w] = LaurentPoly.__new__(LaurentPoly)
+            p._c = a
+    return out
+
+
 def vpow(exp: int, coeff: int = 1) -> LaurentPoly:
     """The monomial coeff * v^exp."""
     return LaurentPoly.monomial(exp, coeff)

@@ -13,12 +13,10 @@ level, the maps between them are not.
 
 from __future__ import annotations
 
-from .hecke import _acc
 # div_exact is no longer called here; it stays bound because
 # perfbench/selftest.py checks that the tracer wraps it in this namespace.
-from .laurent import LaurentPoly, div_exact, vpow  # noqa: F401
+from .laurent import LaurentPoly, div_exact, lincomb, vpow  # noqa: F401
 from .parabolic import ParabolicElt, ParabolicModule
-from .soergel import Character
 
 Term = tuple[int, int, int]  # (element of W^I, grading shift, multiplicity)
 
@@ -106,12 +104,10 @@ def e_shape(module: ParabolicModule, x: int) -> ComplexShape:
 def _kl_sum(shape: ComplexShape, twist: int) -> ParabolicElt:
     """sum over terms (y, shift, mult) in degree d of
     (-1)^d mult v^(twist * shift) PKL_y; twist -1 bars the coefficients."""
-    coeffs: dict[int, LaurentPoly] = {}
-    for deg, entries in shape.terms.items():
-        sign = -1 if deg % 2 else 1
-        for y, shift, mult in entries:
-            _acc(coeffs, y, (sign * mult) * vpow(twist * shift))
-    return Character(shape.module, coeffs).to_parabolic()
+    module = shape.module
+    return ParabolicElt(module, lincomb(
+        (vpow(twist * shift, -mult if deg % 2 else mult), module.kl_basis(y).terms)
+        for deg, entries in shape.terms.items() for y, shift, mult in entries))
 
 
 def shape_character(shape: ComplexShape) -> ParabolicElt:

@@ -7,9 +7,11 @@ property, basis decompositions by a standalone back-substitution, the
 bilinear pairing by multiplying out eps(a(h1) h2), Bott-Samelson
 characters by products in H instead of in the parabolic module, the
 KL basis by whole-element generator products instead of the library's
-half-table descent recursion, and the parabolic KL basis and the inverse
+half-table descent recursion, the parabolic KL basis and the inverse
 parabolic KL rows through the full Hecke algebra instead of the
-recursions over W^I in the two parabolic modules.
+recursions over W^I in the two parabolic modules, and the bar involution
+and the expansion of characters by one polynomial product and sum per
+term instead of the library's sparse exponent-map products.
 """
 
 import functools
@@ -207,3 +209,34 @@ def trace_pairing(algebra, h1, h2):
             if d is not None:
                 total = total + c * d * g
     return total
+
+
+def _acc(terms, w, p):
+    """terms[w] += p, dropping the entry when the sum is zero."""
+    q = terms.get(w, ZERO) + p
+    if q:
+        terms[w] = q
+    else:
+        terms.pop(w, None)
+
+
+def bar_via_acc(algebra, h):
+    """bar(h) = sum_w bar(c_w) bar(H_w), one polynomial product and sum
+    per term of the cached bar(H_w)."""
+    out = {}
+    for w, c in h.terms.items():
+        cb = c.bar()
+        for u, p in algebra._bar_of_basis(w).items():
+            _acc(out, u, p * cb)
+    return out
+
+
+def to_parabolic_via_acc(char):
+    """sum_y c_y PKL_y of a character, one polynomial product and sum per
+    term of PKL_y."""
+    module = char.module
+    out = {}
+    for y, c in char.coeffs.items():
+        for w, h in module.kl_basis(y).terms.items():
+            _acc(out, w, c * h)
+    return out

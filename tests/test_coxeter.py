@@ -292,6 +292,30 @@ def test_subset_validation(sys_of):
             W.mult_gen(w, s)
 
 
+ELEMENT_QUERIES = {
+    "length": lambda W, w: W.length(w),
+    "word_str": lambda W, w: W.word_str(w),
+    "inverse": lambda W, w: W.inverse(w),
+    "descents": lambda W, w: W.descents(w),
+    "descents-left": lambda W, w: W.descents(w, "left"),
+    "project_q": lambda W, w: W.project_q(w, [0]),
+    "coset_decompose": lambda W, w: W.coset_decompose(w, [0]),
+    "is_min_coset_rep": lambda W, w: W.is_min_coset_rep(w, [0]),
+}
+
+
+@pytest.mark.parametrize("query", sorted(ELEMENT_QUERIES))
+def test_element_queries_reject_out_of_range(sys_of, query):
+    # a negative index must not wrap around to an element from the end
+    W = sys_of("A2")
+    ask = ELEMENT_QUERIES[query]
+    for w in (-1, -W.size, W.size, W.size + 5):
+        with pytest.raises(ValueError, match=f"^element index {w} out of range$"):
+            ask(W, w)
+    for w in range(W.size):
+        ask(W, w)
+
+
 def test_word_parsing(sys_of):
     W = sys_of("A3")
     assert W.parse_element("e") == 0

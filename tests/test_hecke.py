@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from heckekit import HeckeAlgebra, build_named
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 
-from oracles import bar_solve_kl, kl_basis_via_gen_mult, trace_pairing
+from oracles import bar_solve_kl, bar_via_acc, kl_basis_via_gen_mult, trace_pairing
+
+CROSS_ROUTE_TYPES = ["A1xA1", "A2", "B2", "A3", "B3", "I2(5)", "I2(7)"]
 
 
 def _word_elt(alg, *gens):
@@ -93,6 +95,25 @@ def test_bar_involution_random(alg_of):
     for _ in range(25):
         h = _random_elt(H, rng)
         assert H.bar(H.bar(h)) == h
+
+
+@pytest.mark.parametrize("name", CROSS_ROUTE_TYPES)
+def test_bar_matches_acc_route(alg_of, name):
+    # every KL element, every bar(H_w) (whose bar cancels to H_w, every
+    # lower coefficient summing to zero) and random elements
+    H = alg_of(name)
+    rng = random.Random(11)
+    inputs = [H.kl_basis(x) for x in range(H.system.size)]
+    inputs += [H.elt(H._bar_of_basis(w)) for w in range(H.system.size)]
+    inputs += [_random_elt(H, rng) for _ in range(20)]
+    for h in inputs:
+        out = H.bar(h)
+        assert out.terms == bar_via_acc(H, h), (name, h)
+        assert all(out.terms.values())
+    for w in range(H.system.size):
+        assert H.bar(H.elt(H._bar_of_basis(w))).terms == {w: ONE}
+    for x in range(H.system.size):
+        assert (H.bar(H.kl_basis(x)) - H.kl_basis(x)).terms == {}
 
 
 def test_bar_multiplicative_random(alg_of):

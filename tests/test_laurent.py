@@ -10,6 +10,7 @@ from heckekit.laurent import (
     ZERO,
     div_exact,
     dot,
+    lincomb,
     vpow,
 )
 
@@ -204,3 +205,26 @@ def test_equal_polys_hash_equally(p):
     # a value derived from a hashed operand hashes as its own value
     assert hash(-p) == hash(LaurentPoly({e: -k for e, k in p.items()}))
     assert hash(p.bar()) == hash(LaurentPoly({-e: k for e, k in p.items()}))
+
+
+term_maps = st.dictionaries(st.integers(0, 5), polys, max_size=4)
+
+
+@given(st.lists(st.tuples(polys, term_maps), max_size=4))
+def test_lincomb_matches_term_by_term_sum(pairs):
+    expected = {}
+    for c, terms in pairs:
+        for w, p in terms.items():
+            expected[w] = expected.get(w, ZERO) + c * p
+    out = lincomb(pairs)
+    assert out == {w: p for w, p in expected.items() if p}
+    assert all(0 not in p._c.values() for p in out.values())
+
+
+@given(st.lists(st.tuples(polys, term_maps), max_size=4))
+def test_lincomb_stores_no_zero_values(pairs):
+    # every pair followed by its negation: the whole sum cancels
+    cancelling = [pair for c, terms in pairs for pair in ((c, terms), (-c, terms))]
+    assert lincomb(cancelling) == {}
+    assert lincomb(iter(cancelling)) == {}
+    assert lincomb([]) == {}

@@ -380,3 +380,16 @@ def test_inverse_kl_rejects_non_reps(alg_of):
     with pytest.raises(ValueError, match=msg("s1")):
         M.inverse_row(s1)
     assert M.inverse_kl(s2, s2) == ONE
+
+
+def test_modules_reject_out_of_range_indices(alg_of):
+    # -1 once wrapped to the longest element of A2, s1.s2.s1, and was
+    # reported as a non-representative of I = {} although it is one
+    H = alg_of("A2")
+    for subset in ([], [0]):
+        M = H.parabolic(subset)
+        for w in (-1, H.system.size):
+            with pytest.raises(ValueError, match=f"^element index {w} out of range$"):
+                M.kl_basis(w)
+            with pytest.raises(ValueError, match=f"^element index {w} out of range$"):
+                M.inverse_row(w)

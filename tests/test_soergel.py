@@ -14,7 +14,12 @@ from heckekit import (
 )
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, div_exact, vpow
 
-from oracles import bott_samelson_via_hecke, decompose_in_kl_basis, trace_pairing
+from oracles import (
+    bott_samelson_via_hecke,
+    decompose_in_kl_basis,
+    to_parabolic_via_acc,
+    trace_pairing,
+)
 
 CROSS_ROUTE_TYPES = ["A1xA1", "A2", "B2", "A3", "B3", "I2(5)", "I2(7)"]
 
@@ -188,6 +193,25 @@ def _random_poly(rng):
 def _random_char(M, rng):
     return Character(M, {rng.choice(M.reps): _random_poly(rng)
                          for _ in range(rng.randint(1, 3))})
+
+
+def test_to_parabolic_matches_acc_route(alg_of):
+    # random characters, every KL element and the KL expansion of every
+    # standard basis element, which cancels to a single term
+    rng = random.Random(13)
+    for name in CROSS_ROUTE_TYPES:
+        H = alg_of(name)
+        for subset in _all_subsets(H.system.rank):
+            M = H.parabolic(subset)
+            chars = [_random_char(M, rng) for _ in range(4)]
+            chars += [delta_char(M, x) for x in M.reps]
+            chars += [kl_decompose(M.delta(x)) for x in M.reps]
+            for c in chars:
+                p = c.to_parabolic()
+                assert p.terms == to_parabolic_via_acc(c), (name, subset, c)
+                assert all(p.terms.values())
+            for x in M.reps:
+                assert kl_decompose(M.delta(x)).to_parabolic().terms == {x: ONE}
 
 
 def test_hom_rank_matches_direct_composition(alg_of):

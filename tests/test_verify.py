@@ -2,7 +2,8 @@ import pytest
 
 from heckekit import HeckeAlgebra, build_named, run_suites
 from heckekit.laurent import LaurentPoly
-from heckekit.verify import SUITES
+from heckekit.parabolic import ParabolicElt
+from heckekit.verify import SUITES, SuiteResult
 
 
 def test_all_suites_pass_a2():
@@ -63,3 +64,191 @@ def test_corrupted_kl_cache_fails_bar_invariance():
 
     results = run_suites(H, ["bar-invariance"])
     assert not results[0].passed
+
+
+# Pinned fault injection.  Each case warms every table with a clean run,
+# corrupts one cached entry and re-runs the suites over the corrupted
+# cache; the check count, the failure count and every failure message,
+# in order, of every suite must stay as recorded, so a rewrite of a
+# suite keeps its check order and the text of its first counterexample.
+
+FAULT_SITES = {
+    # type: (subset, x, z of the corrupted g_{x,z}, top rep of the
+    #        corrupted PKL, mid element and y of the corrupted h_{y,mid})
+    "A3": ([0], "s2", "s1.s2.s3.s2", "s1.s2.s1.s3.s2", "s2.s1.s3", "s1"),
+    "B3": ([1, 2], "s1", "s2.s1", "s1.s2.s3.s2.s1", "s1.s2.s1.s3.s2", "s1"),
+}
+
+
+def _faulted(name, suites, corrupt):
+    """(checks, failures, every failure message in order) of each suite
+    over the corrupted cache; the first message is the first_failure."""
+    H = HeckeAlgebra(build_named(name))
+    assert all(r.passed for r in run_suites(H, suites))
+    corrupt(H, *FAULT_SITES[name])
+    messages = []
+    check = SuiteResult.check
+
+    def recording(res, ok, describe):
+        if not ok:
+            messages.append(describe())
+        check(res, ok, describe)
+
+    SuiteResult.check = recording
+    try:
+        results = run_suites(H, suites)
+    finally:
+        SuiteResult.check = check
+    out = []
+    for r in results:
+        mine, messages[:r.failures] = messages[:r.failures], []
+        assert r.first_failure == (mine[0] if mine else None)
+        out.append((r.checks, r.failures, mine))
+    return out
+
+
+def _corrupt_inverse_row(H, subset, x, z, *_):
+    sys, mod = H.system, H.parabolic(subset)
+    x, z = sys.parse_element(x), sys.parse_element(z)
+    row = dict(mod.inverse_row(x))
+    row[z] = row[z] + LaurentPoly({1: -2, 2: 1})
+    mod._rows[x] = row
+
+
+def _corrupt_pkl(H, subset, x, _z, top, *_):
+    sys, mod = H.system, H.parabolic(subset)
+    x, top = sys.parse_element(x), sys.parse_element(top)
+    terms = dict(mod.kl_basis(top).terms)
+    terms[x] = terms[x] + LaurentPoly({1: 1})
+    mod._pkl[top] = ParabolicElt(mod, terms)
+
+
+def _drop_pkl_diagonal(H, subset, _x, _z, top, *_):
+    sys, mod = H.system, H.parabolic(subset)
+    top = sys.parse_element(top)
+    terms = dict(mod.kl_basis(top).terms)
+    del terms[top]
+    mod._pkl[top] = ParabolicElt(mod, terms)
+
+
+def _corrupt_kl(H, _subset, _x, _z, _top, mid, y):
+    sys = H.system
+    mid, y = sys.parse_element(mid), sys.parse_element(y)
+    terms = dict(H.kl_basis(mid).terms)
+    terms[y] = terms[y] + LaurentPoly({-1: 1})
+    H._kl[mid] = H.elt(terms)
+
+
+# case: (type, corruption, [(suite, checks, failures, messages)])
+PINNED_FAULTS = {
+    "A3-inverse-row": ("A3", _corrupt_inverse_row, [
+        ("inversion", 2154, 4, [
+            "I={s1} inversion fails at x=s2, z=s1.s2.s3.s2",
+            "I={s1} inversion fails at x=s2, z=s1.s2.s1.s3.s2",
+            "I={s1} transposed inversion fails at x=s1.s2.s3.s2, z=e",
+            "I={s1} transposed inversion fails at x=s1.s2.s3.s2, z=s2",
+        ]),
+        ("positivity", 1077, 1, [
+            "I={s1} g[s2, s1.s2.s3.s2] = -2*v^1 + 1*v^2 + 1*v^3 has a negative coefficient",
+        ]),
+        ("parity", 1077, 1, [
+            "I={s1} parity fails for g[s2, s1.s2.s3.s2]",
+        ]),
+        ("degree-one", 373, 1, [
+            "I={s1} degree-one mismatch at z=s2, x=s1.s2.s3.s2",
+        ]),
+    ]),
+    "A3-pkl": ("A3", _corrupt_pkl, [
+        ("inversion", 2154, 3, [
+            "I={s1} inversion fails at x=e, z=s1.s2.s1.s3.s2",
+            "I={s1} inversion fails at x=s2, z=s1.s2.s1.s3.s2",
+            "I={s1} transposed inversion fails at x=s1.s2.s1.s3.s2, z=s2",
+        ]),
+        ("degree-one", 373, 1, [
+            "I={s1} degree-one mismatch at z=s2, x=s1.s2.s1.s3.s2",
+        ]),
+    ]),
+    "A3-euler-hom": ("A3", _corrupt_pkl, [
+        ("euler-hom", 1152, 4, [
+            "I={s1} euler_hom fails at x=s2, y=s1.s2.s1.s3.s2",
+            "I={s1} shape character of s1.s2.s1.s3.s2 is not the standard basis element",
+            "I={s1} euler_hom fails at x=s1.s2.s1.s3.s2, y=s2",
+            "I={s1} euler_hom fails at x=s1.s2.s1.s3.s2, y=s1.s2.s1.s3.s2",
+        ]),
+    ]),
+    "A3-bar": ("A3", _corrupt_kl, [
+        ("bar-invariance", 237, 2, [
+            "KL[s2.s1.s3] is not bar-invariant",
+            "h[s1, s2.s1.s3] has a nonpositive exponent",
+        ]),
+    ]),
+    "B3-inverse-row": ("B3", _corrupt_inverse_row, [
+        ("inversion", 8554, 6, [
+            "I={s2, s3} inversion fails at x=s1, z=s2.s1",
+            "I={s2, s3} inversion fails at x=s1, z=s3.s2.s1",
+            "I={s2, s3} inversion fails at x=s1, z=s2.s3.s2.s1",
+            "I={s2, s3} inversion fails at x=s1, z=s1.s2.s3.s2.s1",
+            "I={s2, s3} transposed inversion fails at x=s2.s1, z=e",
+            "I={s2, s3} transposed inversion fails at x=s2.s1, z=s1",
+        ]),
+        ("positivity", 4277, 1, [
+            "I={s2, s3} g[s1, s2.s1] = -1*v^1 + 1*v^2 has a negative coefficient",
+        ]),
+        ("parity", 4277, 1, [
+            "I={s2, s3} parity fails for g[s1, s2.s1]",
+        ]),
+        ("degree-one", 1561, 1, [
+            "I={s2, s3} degree-one mismatch at z=s1, x=s2.s1",
+        ]),
+    ]),
+    "B3-pkl": ("B3", _corrupt_pkl, [
+        ("inversion", 8554, 3, [
+            "I={s2, s3} inversion fails at x=e, z=s1.s2.s3.s2.s1",
+            "I={s2, s3} inversion fails at x=s1, z=s1.s2.s3.s2.s1",
+            "I={s2, s3} transposed inversion fails at x=s1.s2.s3.s2.s1, z=s1",
+        ]),
+        ("degree-one", 1561, 1, [
+            "I={s2, s3} degree-one mismatch at z=s1, x=s1.s2.s3.s2.s1",
+        ]),
+    ]),
+    "B3-euler-hom": ("B3", _corrupt_pkl, [
+        ("euler-hom", 4424, 4, [
+            "I={s2, s3} euler_hom fails at x=s1, y=s1.s2.s3.s2.s1",
+            "I={s2, s3} shape character of s1.s2.s3.s2.s1 is not the standard basis element",
+            "I={s2, s3} euler_hom fails at x=s1.s2.s3.s2.s1, y=s1",
+            "I={s2, s3} euler_hom fails at x=s1.s2.s3.s2.s1, y=s1.s2.s3.s2.s1",
+        ]),
+    ]),
+    "B3-bar": ("B3", _corrupt_kl, [
+        ("bar-invariance", 895, 2, [
+            "KL[s1.s2.s1.s3.s2] is not bar-invariant",
+            "h[s1, s1.s2.s1.s3.s2] has a nonpositive exponent",
+        ]),
+    ]),
+    "A3-pkl-diagonal": ("A3", _drop_pkl_diagonal, [
+        ("inversion", 2154, 8, [
+            "I={s1} inversion fails at x=s3, z=s1.s2.s1.s3.s2",
+            "I={s1} inversion fails at x=s3.s2, z=s1.s2.s1.s3.s2",
+            "I={s1} inversion fails at x=s1.s3.s2, z=s1.s2.s1.s3.s2",
+            "I={s1} inversion fails at x=s2.s3.s2, z=s1.s2.s1.s3.s2",
+            "I={s1} inversion fails at x=s1.s2.s3.s2, z=s1.s2.s1.s3.s2",
+            "I={s1} inversion fails at x=s2.s1.s3.s2, z=s1.s2.s1.s3.s2",
+            "I={s1} inversion fails at x=s1.s2.s1.s3.s2, z=s1.s2.s1.s3.s2",
+            "I={s1} transposed inversion fails at x=s1.s2.s1.s3.s2, z=s1.s2.s1.s3.s2",
+        ]),
+    ]),
+    "B3-pkl-diagonal": ("B3", _drop_pkl_diagonal, [
+        ("inversion", 8554, 3, [
+            "I={s2, s3} inversion fails at x=s2.s3.s2.s1, z=s1.s2.s3.s2.s1",
+            "I={s2, s3} inversion fails at x=s1.s2.s3.s2.s1, z=s1.s2.s3.s2.s1",
+            "I={s2, s3} transposed inversion fails at x=s1.s2.s3.s2.s1, z=s1.s2.s3.s2.s1",
+        ]),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FAULTS))
+def test_pinned_fault(case):
+    name, corrupt, expected = PINNED_FAULTS[case]
+    suites = [suite for suite, *_ in expected]
+    assert _faulted(name, suites, corrupt) == [tuple(rest) for _, *rest in expected]
