@@ -323,6 +323,7 @@ class CoxeterSystem:
 
     def reduced_word(self, w: int) -> tuple[int, ...]:
         """The lexicographically smallest reduced word for w."""
+        self._check_element(w)
         return self.words[w]
 
     def mult_gen(self, w: int, s: int, side: str = "right") -> int:
@@ -334,6 +335,8 @@ class CoxeterSystem:
 
     def mult(self, w: int, u: int) -> int:
         """The product w * u (replays u's canonical word)."""
+        self._check_element(w)
+        self._check_element(u)
         right = self._right
         for s in self.words[u]:
             w = right[w][s]
@@ -471,19 +474,17 @@ def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
             row.append(w)
         right.append(tuple(row))
 
+    # w = u s is filled from u, which comes earlier: t w = (t u) s, and
+    # w^-1 = s u^-1, where u^-1 is as long as u and so comes before w
     words: list[tuple[int, ...]] = [()]
+    left = [right[0]]
+    inv = [0]
     for u, s in reached_from[1:]:
         words.append(words[u] + (s,))
-    inv = []
-    for word in words:
-        u = 0
-        for s in reversed(word):
-            u = right[u][s]
-        inv.append(u)
-    # s w = (w^-1 s)^-1
-    left = tuple(tuple(inv[v] for v in right[inv[w]]) for w in range(len(keys)))
+        left.append(tuple(right[tu][s] for tu in left[u]))
+        inv.append(left[inv[u]][s])
     return CoxeterSystem(
-        matrix, tuple(lengths), tuple(words), tuple(right), left, tuple(inv)
+        matrix, tuple(lengths), tuple(words), tuple(right), tuple(left), tuple(inv)
     )
 
 

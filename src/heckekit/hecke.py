@@ -5,16 +5,21 @@ and braid relations; bar involution fixing each H_s^-1 = H_s + (v - v^-1);
 Kazhdan-Lusztig basis {KL_w}, the unique bar-invariant basis with
 KL_x = H_x + sum_{y < x} h_{y,x} H_y and h_{y,x} in vZ[v].
 
-Multiplying H_w on either side by a generator follows the rule forced by
-length additivity and the quadratic relation:
+One kernel, `HeckeAlgebra._gen_terms`, applies a generator s to a term
+map over W^I (W^I = W in H): P_w goes to P_t + a P_w, t = table[w][s],
+with a = `lower` if t < w and `higher` if t > w, and to `fixed` P_w where
+t = w (only in the parabolic modules, parabolic.py).  Length additivity
+and the quadratic relation make three rules of it, with
+H_s^-1 = H_s + (v - v^-1) and KL_s = H_s + v:
 
-    H_w * H_s = H_{ws}                      if ws > w,
-    H_w * H_s = H_{ws} + (v^-1 - v) H_w     if ws < w,
+    action       table    lower        higher
+    H_w H_s      right    v^-1 - v     0
+    H_s^-1 H_w   left     0            v - v^-1
+    KL_s P_w     left     v^-1         v
 
-and symmetrically on the left.  The bar involution is the ring
-homomorphism with bar(v) = v^-1 and bar(H_s) = H_s^-1, so on a basis
-element bar(H_w) = H_{s1}^-1 ... H_{sk}^-1 for any reduced word
-w = s1 ... sk, i.e. bar(H_w) = (H_{w^-1})^-1.
+The bar involution is the ring homomorphism with bar(v) = v^-1 and
+bar(H_s) = H_s^-1, so bar(H_w) = H_{s1}^-1 ... H_{sk}^-1 for a reduced
+word w = s1 ... sk.
 
 The KL recursion uses the descent identity (Kazhdan-Lusztig, Invent.
 Math. 53 (1979), §2: P_{y,w} = P_{sy,w} when sw < w): if s is a left
@@ -26,7 +31,7 @@ modules (parabolic.py); H is the case W^I = W.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .coxeter import CoxeterSystem
 from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, lincomb
@@ -50,7 +55,7 @@ class TermElt:
     `terms` maps indices to nonzero Laurent polynomials and `owner` is the
     algebra or module the element lives in.  Instances are arithmetic
     values: +, -, and scaling by a LaurentPoly / int.  Elements of
-    different kinds or owners are never equal.
+    different kinds or owners are never equal and do not add.
     """
 
     __slots__ = ("owner", "terms")
@@ -78,6 +83,10 @@ class TermElt:
         return self.owner is other.owner and self.terms == other.terms
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.owner is not self.owner:
+            raise ValueError("elements live over different algebras or modules")
         terms = dict(self.terms)
         for w, p in other.terms.items():
             _acc(terms, w, p)
@@ -87,6 +96,8 @@ class TermElt:
         return type(self)(self.owner, {w: -p for w, p in self.terms.items()})
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -180,74 +191,62 @@ class HeckeAlgebra:
 
     # -- multiplication -------------------------------------------------------
 
-    def _gen_raw(self, terms: dict[int, LaurentPoly], s: int,
-                 table: Sequence[Sequence[int]]) -> dict:
-        """terms * H_s for table = system._right, H_s * terms for _left."""
+    def _gen_terms(self, terms: Mapping[int, LaurentPoly], s: int, table,
+                   lower: LaurentPoly, higher: LaurentPoly,
+                   fixed: LaurentPoly = ZERO) -> dict[int, LaurentPoly]:
+        """The generator s on a term map, by a row of the module table."""
+        if not 0 <= s < self.system.rank:
+            raise ValueError(f"generator index {s} out of range")
         lengths = self.system.lengths
+        # zero coefficients tested once here, not once per term
+        lower, higher = lower or None, higher or None
         out: dict[int, LaurentPoly] = {}
         for w, c in terms.items():
-            ws = table[w][s]
-            _acc(out, ws, c)
-            if lengths[ws] < lengths[w]:
-                _acc(out, w, c * _VINV_MINUS_V)
+            t = table[w][s]
+            if t == w:
+                _acc(out, w, c * fixed)
+                continue
+            _acc(out, t, c)
+            a = lower if lengths[t] < lengths[w] else higher
+            if a is not None:
+                _acc(out, w, c * a)
         return out
 
     def mult_gen_right(self, h: HeckeElt, s: int) -> HeckeElt:
         """h * H_s."""
-        return HeckeElt(self, self._gen_raw(h.terms, s, self.system._right))
+        return HeckeElt(self, self._gen_terms(h.terms, s, self.system._right,
+                                              _VINV_MINUS_V, ZERO))
 
     def mult(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
         """The algebra product, expanding h2 along canonical reduced words."""
+        if h1.owner is not self or h2.owner is not self:
+            raise ValueError("operands live in different Hecke algebras")
         sys = self.system
         out: dict[int, LaurentPoly] = {}
         for y, d in h2.terms.items():
             cur = {w: c * d for w, c in h1.terms.items()}
             for s in sys.words[y]:
-                cur = self._gen_raw(cur, s, sys._right)
+                cur = self._gen_terms(cur, s, sys._right, _VINV_MINUS_V, ZERO)
             for w, c in cur.items():
                 _acc(out, w, c)
         return HeckeElt(self, out)
 
     def kl_gen_mult(self, s: int, h: HeckeElt) -> HeckeElt:
-        """Left multiplication by KL_s = H_s + v.
-
-        On a standard term: KL_s H_w = H_{sw} + v H_w if sw > w, and
-        H_{sw} + v^-1 H_w if sw < w.
-        """
-        return HeckeElt(self, self._kl_gen_terms(h.terms, s, self.system._left, ZERO))
-
-    def _kl_gen_terms(self, terms: Mapping[int, LaurentPoly], s: int, left,
-                      fixed: LaurentPoly) -> dict[int, LaurentPoly]:
-        """KL_s times a term map over W^I, with `left` and `fixed` as in
-        `_kl_terms`: KL_s P_w is P_{sw} + v P_w if sw > w, P_{sw} + v^-1 P_w
-        if sw < w, and fixed P_w where left[w][s] = w."""
-        if not 0 <= s < self.system.rank:
-            raise ValueError(f"generator index {s} out of range")
-        lengths = self.system.lengths
-        out: dict[int, LaurentPoly] = {}
-        for w, c in terms.items():
-            sw = left[w][s]
-            if sw == w:
-                _acc(out, w, c * fixed)
-            else:
-                _acc(out, sw, c)
-                _acc(out, w, c * (V if lengths[sw] > lengths[w] else V_INV))
-        return out
+        """Left multiplication by KL_s = H_s + v."""
+        return HeckeElt(self, self._gen_terms(h.terms, s, self.system._left,
+                                              V_INV, V))
 
     # -- bar involution ---------------------------------------------------------
 
     def _bar_of_basis(self, w: int) -> dict[int, LaurentPoly]:
-        cached = self._bar_basis.get(w)
-        if cached is not None:
-            return cached
-        sys = self.system
-        s = sys.words[w][0]
-        rest = self._bar_of_basis(sys._left[w][s])
-        # bar(H_w) = H_s^-1 * bar(H_{s w}) = (H_s + (v - v^-1)) * bar(H_{s w})
-        out = self._gen_raw(rest, s, sys._left)
-        for u, c in rest.items():
-            _acc(out, u, c * _V_MINUS_VINV)
-        self._bar_basis[w] = out
+        out = self._bar_basis.get(w)
+        if out is None:
+            # bar(H_w) = H_s^-1 * bar(H_{s w})
+            sys = self.system
+            s = sys.words[w][0]
+            rest = self._bar_of_basis(sys._left[w][s])
+            out = self._bar_basis[w] = self._gen_terms(rest, s, sys._left,
+                                                       ZERO, _V_MINUS_VINV)
         return out
 
     def bar(self, h: HeckeElt) -> HeckeElt:

@@ -20,10 +20,10 @@ h_{yu,x}; for I = {} this is the classical g_{x,z} = h_{w0 z, w0 x}.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .hecke import HeckeAlgebra, HeckeElt, TermElt, _acc
-from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, vpow
+from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, lincomb, vpow
 
 _V_PLUS_VINV = V + V_INV
 
@@ -102,15 +102,11 @@ class ParabolicModule:
     # -- the action of H ---------------------------------------------------------
 
     def kl_gen_mult(self, s: int, p: ParabolicElt) -> ParabolicElt:
-        """Left multiplication by KL_s = H_s + v (Deodhar, J. Algebra 111
-        (1987)): on a standard term,
-
-            KL_s P_x = P_{sx} + v P_x       if sx > x and sx in W^I,
-            KL_s P_x = P_{sx} + v^-1 P_x    if sx < x,
-            KL_s P_x = (v + v^-1) P_x       if sx not in W^I (sx = x t, t in I).
-        """
-        return ParabolicElt(self, self.algebra._kl_gen_terms(
-            p.terms, s, self._left, _V_PLUS_VINV))
+        """Left multiplication by KL_s = H_s + v: the KL_s row of the
+        generator table in hecke.py, and KL_s P_x = (v + v^-1) P_x where sx
+        is not in W^I, i.e. sx = x t with t in I (Deodhar 1987)."""
+        return ParabolicElt(self, self.algebra._gen_terms(
+            p.terms, s, self._left, V_INV, V, _V_PLUS_VINV))
 
     # -- embedding into the Hecke algebra ----------------------------------------
 
@@ -153,6 +149,12 @@ class ParabolicModule:
                 terms = self.algebra.kl_basis(x).terms
             cached = self._pkl[x] = ParabolicElt(self, terms)
         return cached
+
+    def from_kl(self, pairs: Iterable[tuple[int, LaurentPoly]]) -> ParabolicElt:
+        """sum_y c_y PKL_y over (y, c_y) pairs, in the standard basis; a y
+        may occur in several pairs."""
+        return ParabolicElt(self, lincomb((c, self.kl_basis(y).terms)
+                                          for y, c in pairs))
 
     def kl_poly(self, y: int, x: int) -> LaurentPoly:
         """h_{y,x} in the parabolic module."""
@@ -220,14 +222,8 @@ class ParabolicModule:
 
             sum_{y,z} p_y bar(q_z) sum_w h^I_{w,y} h^I_{w,z},
 
-        the Hom formula for singular Soergel bimodules; each column dot
-        runs over the shorter of the two parabolic KL columns.
-        """
-        total = ZERO
-        for y, c in p_coeffs.items():
-            col_y = self.kl_basis(y).terms
-            for z, d in q_coeffs.items():
-                hom = dot(col_y, self.kl_basis(z).terms)
-                if hom:
-                    total = total + c * d.bar() * hom
-        return total
+        the Hom formula for singular Soergel bimodules, taken as the
+        dot of P and bar_I Q that `pair_embedded_std` reads."""
+        p = self.from_kl(p_coeffs.items())
+        q_bar = self.from_kl((z, d.bar()) for z, d in q_coeffs.items())
+        return dot(p.terms, q_bar.terms)

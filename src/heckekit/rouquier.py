@@ -15,7 +15,7 @@ from __future__ import annotations
 
 # div_exact is no longer called here; it stays bound because
 # perfbench/selftest.py checks that the tracer wraps it in this namespace.
-from .laurent import LaurentPoly, div_exact, lincomb, vpow  # noqa: F401
+from .laurent import LaurentPoly, div_exact, vpow  # noqa: F401
 from .parabolic import ParabolicElt, ParabolicModule
 
 Term = tuple[int, int, int]  # (element of W^I, grading shift, multiplicity)
@@ -90,24 +90,26 @@ def f_shape(module: ParabolicModule, x: int) -> ComplexShape:
     return ComplexShape(module, x, terms)
 
 
-def e_shape(module: ParabolicModule, x: int) -> ComplexShape:
-    """Shape of the negative lift: degree -i holds (y, -i, m) for every
-    positive-lift term (y, i, m), mirroring degree 0."""
-    pos = f_shape(module, x)
+def mirror_shape(shape: ComplexShape) -> ComplexShape:
+    """Every term (y, i, m) of degree i moved to (y, -i, m) in degree -i."""
     terms = {
         -deg: tuple(sorted((y, -shift, mult) for y, shift, mult in entries))
-        for deg, entries in pos.terms.items()
+        for deg, entries in shape.terms.items()
     }
-    return ComplexShape(module, x, terms)
+    return ComplexShape(shape.module, shape.apex, terms)
+
+
+def e_shape(module: ParabolicModule, x: int) -> ComplexShape:
+    """Shape of the negative lift: the mirror of the positive lift."""
+    return mirror_shape(f_shape(module, x))
 
 
 def _kl_sum(shape: ComplexShape, twist: int) -> ParabolicElt:
     """sum over terms (y, shift, mult) in degree d of
     (-1)^d mult v^(twist * shift) PKL_y; twist -1 bars the coefficients."""
-    module = shape.module
-    return ParabolicElt(module, lincomb(
-        (vpow(twist * shift, -mult if deg % 2 else mult), module.kl_basis(y).terms)
-        for deg, entries in shape.terms.items() for y, shift, mult in entries))
+    return shape.module.from_kl(
+        (y, vpow(twist * shift, -mult if deg % 2 else mult))
+        for deg, entries in shape.terms.items() for y, shift, mult in entries)
 
 
 def shape_character(shape: ComplexShape) -> ParabolicElt:

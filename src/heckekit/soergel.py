@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .hecke import TermElt, _acc
 # div_exact: see the note in rouquier.py.
-from .laurent import LaurentPoly, ONE, div_exact, lincomb, vpow  # noqa: F401
+from .laurent import LaurentPoly, ONE, div_exact, vpow  # noqa: F401
 from .parabolic import ParabolicElt, ParabolicModule
 
 
@@ -33,9 +33,7 @@ class Character(TermElt):
 
     def to_parabolic(self) -> ParabolicElt:
         """Expand back into the standard parabolic basis: sum_y c_y PKL_y."""
-        module = self.module
-        return ParabolicElt(module, lincomb((c, module.kl_basis(y).terms)
-                                            for y, c in self.terms.items()))
+        return self.module.from_kl(self.terms.items())
 
     def to_json_obj(self) -> dict:
         return {"subset": self.module.subset_labels(),

@@ -12,9 +12,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .hecke import HeckeAlgebra
+from .hecke import HeckeAlgebra, _VINV_MINUS_V
 from .laurent import LaurentPoly, ONE, ZERO, lincomb
-from .rouquier import e_shape, f_shape, shape_character, euler_hom
+from .rouquier import euler_hom, f_shape, mirror_shape, shape_character
 from .soergel import bott_samelson_char
 
 DEFAULT_BS_WORDS = 40
@@ -158,7 +158,7 @@ def suite_euler_hom(algebra: HeckeAlgebra, **_) -> SuiteResult:
     for subset in _subsets(algebra):
         mod = algebra.parabolic(subset)
         fs = {x: f_shape(mod, x) for x in mod.reps}
-        es = {x: e_shape(mod, x) for x in mod.reps}
+        es = {x: mirror_shape(fs[x]) for x in mod.reps}
         for x in mod.reps:
             res.check(shape_character(fs[x]) == mod.delta(x),
                       lambda x=x, subset=subset:
@@ -203,7 +203,8 @@ def suite_pairing(algebra: HeckeAlgebra, **_) -> SuiteResult:
         prods = [{sys._inv[x]: ONE}]
         for y in range(1, sys.size):
             s = sys.words[y][-1]
-            prods.append(algebra._gen_raw(prods[sys._right[y][s]], s, sys._right))
+            prods.append(algebra._gen_terms(prods[sys._right[y][s]], s,
+                                            sys._right, _VINV_MINUS_V, ZERO))
         for y in range(sys.size):
             trace = prods[y].get(0, ZERO)
             val = algebra.pairing(hx, algebra.std(y))

@@ -16,7 +16,7 @@ term instead of the library's sparse exponent-map products.
 
 import functools
 
-from heckekit.laurent import LaurentPoly, ONE, ZERO, vpow
+from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 
 
 def bar_solve_kl(algebra, x):
@@ -177,6 +177,18 @@ def signed_inverse_from_decomposition(module, x):
     return out
 
 
+def _times_gen(sys, terms, s):
+    """terms * H_s by the quadratic relation, written out here:
+    H_w H_s = H_{ws} if ws > w and H_{ws} + (v^-1 - v) H_w if ws < w."""
+    out = {}
+    for w, c in terms.items():
+        ws = sys._right[w][s]
+        _acc(out, ws, c)
+        if sys.lengths[ws] < sys.lengths[w]:
+            _acc(out, w, c * (V_INV - V))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _eps_row(algebra, w):
     """{y: eps(H_w H_y)} over all y with a nonzero trace.
@@ -190,7 +202,7 @@ def _eps_row(algebra, w):
     row = {0: ONE} if w == 0 else {}
     for y in range(1, sys.size):
         s = sys.words[y][-1]
-        prods.append(algebra._gen_raw(prods[sys._right[y][s]], s, sys._right))
+        prods.append(_times_gen(sys, prods[sys._right[y][s]], s))
         c = prods[y].get(0)
         if c:
             row[y] = c

@@ -301,6 +301,9 @@ ELEMENT_QUERIES = {
     "project_q": lambda W, w: W.project_q(w, [0]),
     "coset_decompose": lambda W, w: W.coset_decompose(w, [0]),
     "is_min_coset_rep": lambda W, w: W.is_min_coset_rep(w, [0]),
+    "reduced_word": lambda W, w: W.reduced_word(w),
+    "mult": lambda W, w: W.mult(w, 0),
+    "mult-right": lambda W, w: W.mult(0, w),
 }
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckekit import HeckeAlgebra, build_named
+from heckekit import HeckeAlgebra, build_named, delta_char
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 
 from oracles import bar_solve_kl, bar_via_acc, kl_basis_via_gen_mult, trace_pairing
@@ -53,6 +53,49 @@ def test_mult_associative_spot(alg_of):
     b = H.kl_basis(_word_elt(H, 1))
     c = H.kl_basis(_word_elt(H, 2))
     assert H.mult(H.mult(a, b), c) == H.mult(a, H.mult(b, c))
+
+
+@pytest.mark.parametrize("name", CROSS_ROUTE_TYPES)
+def test_generator_rules_match_products(alg_of, name):
+    # the three rules of the generator kernel against whole products:
+    # bar(H_w) = prod (H_s + v - v^-1) over the canonical word of w, and
+    # KL_s H_w = (H_s + v H_e) * H_w
+    H = alg_of(name)
+    W = H.system
+    gens = [W.element_from_word([s]) for s in W.gens()]
+    for w in range(W.size):
+        expected = H.unit()
+        for s in W.words[w]:
+            expected = expected * H.elt({gens[s]: 1, 0: V - V_INV})
+        assert H.elt(H._bar_of_basis(w)) == expected, (name, w)
+        for s in W.gens():
+            kls = H.elt({gens[s]: 1, 0: V})
+            assert H.kl_gen_mult(s, H.std(w)) == kls * H.std(w), (name, w, s)
+
+
+def test_arithmetic_rejects_other_kinds_and_owners(alg_of):
+    A2, B3 = alg_of("A2"), alg_of("B3")
+    M = A2.parabolic([0])
+    # a character plus a standard-basis element once returned {0: 2}
+    for a, b in ((delta_char(M, 0), M.delta(0)), (M.delta(0), delta_char(M, 0)),
+                 (A2.unit(), M.delta(0))):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+    # an A2 element plus a B3 one once held B3 index 3 in A2
+    for a, b in ((A2.unit(), B3.std(3)),
+                 (A2.parabolic([]).delta(0), B3.parabolic([]).delta(0)),
+                 (delta_char(M, 0), delta_char(A2.parabolic([1]), 0))):
+        with pytest.raises(ValueError, match="different algebras or modules"):
+            a + b
+        with pytest.raises(ValueError, match="different algebras or modules"):
+            a - b
+    for a, b in ((A2.unit(), B3.std(3)), (B3.std(3), A2.unit())):
+        with pytest.raises(ValueError, match="different Hecke algebras"):
+            A2.mult(a, b)
+        with pytest.raises(ValueError, match="different Hecke algebras"):
+            a * b
 
 
 def test_braid_relation(alg_of):
@@ -357,5 +400,9 @@ def test_kl_basis_rejects_bad_index_and_caches_none():
         with pytest.raises(ValueError, match=f"element index {x} out of range"):
             H.kl_basis(x)
     assert not H._kl
-    with pytest.raises(ValueError, match="generator index -1 out of range"):
-        H.kl_gen_mult(-1, H.unit())
+    for s in (-1, H.system.rank):
+        with pytest.raises(ValueError, match=f"generator index {s} out of range"):
+            H.kl_gen_mult(s, H.unit())
+        # -1 once multiplied by the last generator, rank raised IndexError
+        with pytest.raises(ValueError, match=f"generator index {s} out of range"):
+            H.mult_gen_right(H.unit(), s)
