@@ -27,6 +27,16 @@ descent of x, then h_{w,x} = v h_{sw,x} for every w with sw > w.  So
 `_kl_terms` computes only the coefficients at the s-descents w and reads
 the rest off by a shift of v.  It also runs over W^I in the two parabolic
 modules (parabolic.py); H is the case W^I = W.
+
+Off the diagonal every h there lies in vZ[v], so the recursion holds each
+coefficient as the one int n = p(2^K), K = `PACK_BITS` (Kronecker
+substitution, `laurent.pack`): the shift by v is n << K, by v^-1 it is
+n >> K, and the mu step is one integer product.  Two guards keep this
+exact, each raising ValueError.  A shift by v^-1 needs the constant digit
+n & (2^K - 1) to be 0, so a constant term raises instead of being
+truncated.  And before the results of x are decoded, b * (2 + sum |mu|)
+must lie below 2^(K-1), b the largest coefficient size packed so far,
+which bounds every coefficient of KL_s KL_{sx} - sum mu KL_z.
 """
 
 from __future__ import annotations
@@ -34,7 +44,8 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from .coxeter import CoxeterSystem
-from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, lincomb
+from .laurent import (PACK_BITS, LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot,
+                      lincomb, pack, unpack)
 
 _V_MINUS_VINV = V - V_INV
 _VINV_MINUS_V = V_INV - V
@@ -47,6 +58,13 @@ def _acc(terms: dict[int, LaurentPoly], w: int, p: LaurentPoly) -> None:
         terms[w] = q
     elif w in terms:
         del terms[w]
+
+
+def _own(owner, h: "TermElt") -> dict[int, LaurentPoly]:
+    """The terms of h, which must live in `owner`."""
+    if h.owner is not owner:
+        raise ValueError("element lives in a different algebra or module")
+    return h.terms
 
 
 class TermElt:
@@ -150,19 +168,21 @@ class HeckeAlgebra:
     """Hecke algebra attached to a CoxeterSystem.
 
     Keeps per-system memo tables: bar of standard basis elements, the
-    KL basis `_kl`, the parabolic modules, the interning table `_polys`
-    that maps each KL coefficient, of H or of a module, to the one shared
-    object standing for every equal entry, and the shift map `_shifted`
-    from an interned p to the interned v p.  Queries are pure in (system,
-    arguments).
+    KL basis `_kl`, the parabolic modules, and the interning table
+    `_polys` that maps the packed value p(2^K) of each KL coefficient, of
+    H or of a module, to the one shared object standing for every equal
+    entry.  `_packed` maps the id of each interned object back to its
+    packed value, and `_bound` is the largest coefficient size packed so
+    far.  Queries are pure in (system, arguments).
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._bar_basis: dict[int, dict[int, LaurentPoly]] = {0: {0: ONE}}
         self._kl: dict[int, HeckeElt] = {}
-        self._polys: dict[LaurentPoly, LaurentPoly] = {}
-        self._shifted: dict[LaurentPoly, LaurentPoly] = {}
+        self._polys: dict[int, LaurentPoly] = {}
+        self._packed: dict[int, int] = {}
+        self._bound = 0
         self._parabolic: dict[frozenset[int], object] = {}
 
     # -- constructors -------------------------------------------------------
@@ -214,7 +234,7 @@ class HeckeAlgebra:
 
     def mult_gen_right(self, h: HeckeElt, s: int) -> HeckeElt:
         """h * H_s."""
-        return HeckeElt(self, self._gen_terms(h.terms, s, self.system._right,
+        return HeckeElt(self, self._gen_terms(_own(self, h), s, self.system._right,
                                               _VINV_MINUS_V, ZERO))
 
     def mult(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
@@ -233,7 +253,7 @@ class HeckeAlgebra:
 
     def kl_gen_mult(self, s: int, h: HeckeElt) -> HeckeElt:
         """Left multiplication by KL_s = H_s + v."""
-        return HeckeElt(self, self._gen_terms(h.terms, s, self.system._left,
+        return HeckeElt(self, self._gen_terms(_own(self, h), s, self.system._left,
                                               V_INV, V))
 
     # -- bar involution ---------------------------------------------------------
@@ -252,7 +272,7 @@ class HeckeAlgebra:
     def bar(self, h: HeckeElt) -> HeckeElt:
         """The bar involution: coefficients v -> v^-1, H_w -> (H_{w^-1})^-1."""
         return HeckeElt(self, lincomb((c.bar(), self._bar_of_basis(w))
-                                      for w, c in h.terms.items()))
+                                      for w, c in _own(self, h).items()))
 
     # -- Kazhdan-Lusztig basis -----------------------------------------------------
 
@@ -263,94 +283,115 @@ class HeckeAlgebra:
             if not 0 <= x < self.system.size:
                 raise ValueError(f"element index {x} out of range")
             terms = self._kl_terms(x, lambda z: self.kl_basis(z).terms,
-                                   self.system._left, ZERO)
+                                   self.system._left, False)
             cached = self._kl[x] = HeckeElt(self, terms)
         return cached
 
-    def _kl_terms(self, x: int, element, left, fixed: LaurentPoly
+    def _kl_terms(self, x: int, element, left, spherical: bool
                   ) -> dict[int, LaurentPoly]:
         """The KL element of x in H or in a parabolic module over W^I, as
         a term map, by the inductive algorithm on the first letter s of x:
 
             KL_x = KL_s KL_{sx} - sum_z mu(z, sx) KL_z
 
-        over z < sx with sz < z, or sz = z if `fixed` is nonzero.
+        over z < sx with sz < z, or sz = z in the spherical module.
         `left[w][s]` is sw, or w where sw is not in W^I, and there
-        KL_s P_w = fixed P_w (v + v^-1 in M, 0 in N; never in H).
-        `element(z)` is the term map of z, cached by the caller.  By the
-        descent identity h_{w,u} = v h_{sw,u} for sw > w (Kazhdan-Lusztig
+        KL_s P_w = (v + v^-1) P_w in M (`spherical`) and 0 in N (never in
+        H).  `element(z)` is the term map of z, cached by the caller.  By
+        the descent identity h_{w,u} = v h_{sw,u} for sw > w (Kazhdan-Lusztig
         1979, P_{y,w} = P_{sy,w}), only the coefficients at w with sw <= w
-        are computed, in plain exponent maps, each interned once; the
-        partner sw gets v times it from the shift map.  Every position
-        reached is kept, so the keys are [e, x] in W^I, with zero values
-        in N only.
+        are computed, each as a packed int n = h(2^K) (module docstring):
+        v^-1 p_w + p_{sw} is (n_w >> K) + n_{sw}, (v + v^-1) p_w is
+        (n_w << K) + (n_w >> K), and mu h_{w,z} is subtracted as mu * n.
+        Each n is looked up in `_polys` and decoded only on a miss; the
+        partner sw gets the entry of n << K.  A coefficient that is not
+        interned is packed on the fly.  Every position reached is kept, so
+        the keys are [e, x] in W^I, with zero values in N only.
         """
-        polys = self._polys
         if x == 0:
-            return {0: polys.setdefault(ONE, ONE)}
+            return {0: self._polys.get(1) or self._intern(1)}
+        K = PACK_BITS
+        mask = (1 << K) - 1
+        packed = self._packed
         sys = self.system
         lengths = sys.lengths
         s = sys.words[x][0]
         y = left[x][s]
         below = element(y)
-        upper: dict[int, dict[int, int]] = {}
+        upper: dict[int, int] = {}
         for w, p in below.items():
+            try:
+                n = packed[id(p)]
+            except KeyError:
+                n = self._pack(p)
             sw = left[w][s]
             if lengths[sw] < lengths[w]:
-                u, d = w, -1
+                if n & mask:
+                    raise self._constant_term(w, y, p)
+                upper[w] = upper.get(w, 0) + (n >> K)
             elif sw != w:
-                u, d = sw, 0
-            else:
+                upper[sw] = upper.get(sw, 0) + n
+            elif spherical:
                 # w is its own partner: nothing else lands here
-                upper[w] = (p * fixed)._c
-                continue
-            c = upper.get(u)
-            if c is None:
-                upper[u] = {e + d: k for e, k in p._c.items()}
-                continue
-            for e, k in p._c.items():
-                e += d
-                k += c.get(e, 0)
-                if k:
-                    c[e] = k
-                else:
-                    del c[e]
+                if n & mask:
+                    raise self._constant_term(w, y, p)
+                upper[w] = (n << K) + (n >> K)
+            else:
+                upper[w] = 0
+        # the keys of upper are the w in [e, y] with sw <= w, and x
+        total = 2
         for z, hzy in below.items():
             m = hzy._c.get(1)
             if not m or z == y:
                 continue
             sz = left[z][s]
-            if lengths[sz] > lengths[z] or sz == z and not fixed:
+            if lengths[sz] > lengths[z] or sz == z and not spherical:
                 continue
+            total += abs(m)
             for w, p in element(z).items():
-                if lengths[left[w][s]] > lengths[w]:
-                    continue
-                c = upper.get(w)
-                if c is None:
-                    upper[w] = {e: -m * k for e, k in p._c.items()}
-                    continue
-                for e, k in p._c.items():
-                    k = c.get(e, 0) - m * k
-                    if k:
-                        c[e] = k
-                    else:
-                        del c[e]
-        shifted = self._shifted
+                if w in upper:
+                    try:
+                        n = packed[id(p)]
+                    except KeyError:
+                        n = self._pack(p)
+                    upper[w] -= m * n
+        if self._bound * total >= 1 << (K - 1):
+            raise ValueError(
+                f"KL element of {sys.word_str(x)}: coefficients up to "
+                f"{self._bound} times {total} may not fit in {K}-bit packing")
+        polys = self._polys
         terms: dict[int, LaurentPoly] = {}
-        for w, c in upper.items():
-            p = LaurentPoly.__new__(LaurentPoly)
-            p._c = c
-            p = terms[w] = polys.setdefault(p, p)
+        for w, n in upper.items():
+            try:
+                terms[w] = polys[n]
+            except KeyError:
+                terms[w] = self._intern(n)
             sw = left[w][s]
-            if sw == w:
-                continue
-            q = shifted.get(p)
-            if q is None:
-                q = LaurentPoly.__new__(LaurentPoly)
-                q._c = {e + 1: k for e, k in c.items()}
-                q = shifted[p] = polys.setdefault(q, q)
-            terms[sw] = q
+            if sw != w:
+                n <<= K
+                try:
+                    terms[sw] = polys[n]
+                except KeyError:
+                    terms[sw] = self._intern(n)
         return terms
+
+    def _intern(self, n: int) -> LaurentPoly:
+        """Decode packed value n into the shared object standing for it."""
+        p = self._polys[n] = unpack(n, PACK_BITS)
+        self._packed[id(p)] = n
+        self._bound = max(self._bound, *map(abs, p._c.values()), 0)
+        return p
+
+    def _pack(self, p: LaurentPoly) -> int:
+        """Pack a coefficient that is not interned, widening `_bound`."""
+        n = pack(p, PACK_BITS)
+        self._bound = max(self._bound, *map(abs, p._c.values()), 0)
+        return n
+
+    def _constant_term(self, w: int, y: int, p: LaurentPoly) -> ValueError:
+        word = self.system.word_str
+        return ValueError(f"off-diagonal KL coefficient at ({word(w)}, {word(y)}) "
+                          f"has a constant term: {p}")
 
     def kl_poly(self, y: int, x: int) -> LaurentPoly:
         """h_{y,x}: the H_y coefficient of KL_x (0 unless y <= x)."""
@@ -365,11 +406,11 @@ class HeckeAlgebra:
     def a_inv(self, h: HeckeElt) -> HeckeElt:
         """The anti-involution a: H_x -> H_{x^-1}, fixing coefficients."""
         inv = self.system._inv
-        return HeckeElt(self, {inv[w]: c for w, c in h.terms.items()})
+        return HeckeElt(self, {inv[w]: c for w, c in _own(self, h).items()})
 
     def eps(self, h: HeckeElt) -> LaurentPoly:
         """The trace: the coefficient of H_id."""
-        return h.terms.get(0, ZERO)
+        return _own(self, h).get(0, ZERO)
 
     def pairing(self, h1: HeckeElt, h2: HeckeElt) -> LaurentPoly:
         """(h1, h2) = eps(a(h1) * h2) = sum_w h1_w * h2_w.
@@ -378,7 +419,7 @@ class HeckeAlgebra:
         (the `pairing` verify suite multiplies every such product out), so
         the pairing is the coefficient dot product.
         """
-        return dot(h1.terms, h2.terms)
+        return dot(_own(self, h1), _own(self, h2))
 
     # -- parabolic modules ------------------------------------------------------
 

@@ -302,6 +302,47 @@ def lincomb(pairs: Iterable[tuple[LaurentPoly, Mapping[int, LaurentPoly]]]
     return out
 
 
+PACK_BITS = 64
+
+
+def pack(p: LaurentPoly, bits: int = PACK_BITS) -> int:
+    """p(2^bits): the coefficients of p as the base-2^bits digits of one int
+    (Kronecker substitution; Harvey, J. Symb. Comput. 44 (2009)).
+
+    Raises ValueError unless p lies in Z[v] with every coefficient of size
+    below 2^(bits-1), the range in which `unpack` recovers p.
+    """
+    half = 1 << (bits - 1)
+    n = 0
+    for e, k in p._c.items():
+        if e < 0:
+            raise ValueError(f"cannot pack ({p}): negative exponent {e}")
+        if not -half < k < half:
+            raise ValueError(f"cannot pack ({p}): coefficient {k} needs more "
+                             f"than {bits} bits")
+        n += k << (bits * e)
+    return n
+
+
+def unpack(n: int, bits: int = PACK_BITS) -> LaurentPoly:
+    """The p with pack(p, bits) == n, read off the balanced digits of n."""
+    base = 1 << bits
+    half = base >> 1
+    c: dict[int, int] = {}
+    e = 0
+    while n:
+        k = n & (base - 1)
+        if k >= half:
+            k -= base
+        if k:
+            c[e] = k
+        n = (n - k) >> bits
+        e += 1
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._c = c
+    return p
+
+
 def vpow(exp: int, coeff: int = 1) -> LaurentPoly:
     """The monomial coeff * v^exp."""
     return LaurentPoly.monomial(exp, coeff)

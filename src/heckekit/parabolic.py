@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .hecke import HeckeAlgebra, HeckeElt, TermElt, _acc
+from .hecke import HeckeAlgebra, HeckeElt, TermElt, _acc, _own
 from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, lincomb, vpow
 
 _V_PLUS_VINV = V + V_INV
@@ -106,7 +106,7 @@ class ParabolicModule:
         generator table in hecke.py, and KL_s P_x = (v + v^-1) P_x where sx
         is not in W^I, i.e. sx = x t with t in I (Deodhar 1987)."""
         return ParabolicElt(self, self.algebra._gen_terms(
-            p.terms, s, self._left, V_INV, V, _V_PLUS_VINV))
+            _own(self, p), s, self._left, V_INV, V, _V_PLUS_VINV))
 
     # -- embedding into the Hecke algebra ----------------------------------------
 
@@ -144,7 +144,7 @@ class ParabolicModule:
             self._check_rep(x)
             if self.subset:
                 terms = self.algebra._kl_terms(
-                    x, lambda z: self.kl_basis(z).terms, self._left, _V_PLUS_VINV)
+                    x, lambda z: self.kl_basis(z).terms, self._left, True)
             else:
                 terms = self.algebra.kl_basis(x).terms
             cached = self._pkl[x] = ParabolicElt(self, terms)
@@ -169,7 +169,7 @@ class ParabolicModule:
         cached = self._nkl.get(m)
         if cached is None:
             cached = self._nkl[m] = self.algebra._kl_terms(
-                m, self._antispherical, self._left, ZERO)
+                m, self._antispherical, self._left, False)
         return cached
 
     def inverse_row(self, x: int) -> dict[int, LaurentPoly]:

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckekit import HeckeAlgebra, build_named, delta_char
+from heckekit import HeckeAlgebra, build_named, delta_char, hecke
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 
 from oracles import bar_solve_kl, bar_via_acc, kl_basis_via_gen_mult, trace_pairing
@@ -96,6 +96,27 @@ def test_arithmetic_rejects_other_kinds_and_owners(alg_of):
             A2.mult(a, b)
         with pytest.raises(ValueError, match="different Hecke algebras"):
             a * b
+
+
+def test_actions_reject_elements_of_other_owners(alg_of):
+    A2, B3 = alg_of("A2"), alg_of("B3")
+    M1, M2 = A2.parabolic([0]), A2.parabolic([1])
+    # each of these once answered, or raised IndexError, for B3 indices
+    calls = [
+        lambda: A2.kl_gen_mult(0, B3.std(3)),
+        lambda: A2.mult_gen_right(B3.std(3), 0),
+        lambda: A2.bar(B3.std(40)),
+        lambda: A2.pairing(A2.unit(), B3.unit()),
+        lambda: A2.pairing(B3.unit(), A2.unit()),
+        lambda: A2.a_inv(B3.std(40)),
+        lambda: A2.eps(B3.unit()),
+        lambda: A2.kl_gen_mult(0, M1.delta(0)),
+        lambda: M1.kl_gen_mult(0, M2.delta(0)),
+        lambda: M1.kl_gen_mult(0, A2.unit()),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="different algebra or module"):
+            call()
 
 
 def test_braid_relation(alg_of):
@@ -388,10 +409,84 @@ def test_kl_table_independent_of_fill_order():
 
 def test_kl_coefficients_are_interned():
     H = HeckeAlgebra(build_named("B3"))
+    W = H.system
+    maps = [H.kl_basis(x).terms for x in range(W.size)]
+    for size in range(W.rank + 1):
+        for subset in itertools.combinations(range(W.rank), size):
+            M = H.parabolic(subset)
+            maps += [M.kl_basis(x).terms for x in M.reps]
+            maps += [M.inverse_row(x) for x in M.reps]
     seen = {}
-    for x in range(H.system.size):
-        for p in H.kl_basis(x).terms.values():
+    for terms in maps:
+        for p in terms.values():
             assert seen.setdefault(p, p) is p
+    # H and its modules share one table, holding exactly those values
+    assert len(H._polys) == len(seen)
+    assert sorted(map(id, H._polys.values())) == sorted(map(id, seen.values()))
+
+
+@pytest.mark.parametrize("bits", [4, 6, 8])
+def test_narrow_packing_raises_instead_of_a_wrong_table(monkeypatch, bits):
+    # F4 coefficients reach 12, which 4 bits cannot hold; at 6 and 8 bits
+    # the bound b (2 + sum |mu|) of some element passes 2^(bits-1)
+    monkeypatch.setattr(hecke, "PACK_BITS", bits)
+    H = HeckeAlgebra(build_named("F4"))
+    with pytest.raises(ValueError, match=f"may not fit in {bits}-bit packing"):
+        for x in range(H.system.size):
+            H.kl_basis(x)
+
+
+def test_packing_width_does_not_change_the_table(monkeypatch, alg_of):
+    wide = alg_of("F4")
+    table = [wide.kl_basis(x).terms for x in range(wide.system.size)]
+    monkeypatch.setattr(hecke, "PACK_BITS", 10)
+    H = HeckeAlgebra(wide.system)
+    assert [H.kl_basis(x).terms for x in range(H.system.size)] == table
+
+
+def _corrupt_descent_entry(H, bad):
+    """Replace h_{w,y} in the cached KL_y by bad(h_{w,y}) at some w != y
+    with sw < w, s the first letter of x = sy > y; return x."""
+    W = H.system
+    for x in range(1, W.size):
+        s = W.words[x][0]
+        y = W._left[x][s]
+        terms = H.kl_basis(y).terms
+        for w in terms:
+            if w != y and W.lengths[W._left[w][s]] < W.lengths[w]:
+                terms[w] = bad(terms[w])
+                return x
+    raise AssertionError("no descent entry")
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda p: p + 1, "has a constant term"),
+    (lambda p: p + V_INV, "negative exponent -1"),
+    (lambda p: p + vpow(1, 1 << 70), "needs more than 64 bits"),
+])
+def test_corrupted_cached_coefficient_raises_when_read(bad, message):
+    H = HeckeAlgebra(build_named("B3"))
+    x = _corrupt_descent_entry(H, bad)
+    with pytest.raises(ValueError, match=message):
+        H.kl_basis(x)
+    assert x not in H._kl
+
+
+def test_corrupted_fixed_entry_of_spherical_module_raises():
+    # in M, KL_s P_w = (v + v^-1) P_w where sw is not in W^I: a constant
+    # term there must raise, not lose its v^-1 part
+    H = HeckeAlgebra(build_named("B3"))
+    M = H.parabolic([0])
+    for x in M.reps[1:]:
+        s = H.system.words[x][0]
+        y = M._left[x][s]
+        terms = M.kl_basis(y).terms
+        fixed = [w for w in terms if M._left[w][s] == w]
+        if fixed:
+            terms[fixed[0]] = terms[fixed[0]] + 1
+            break
+    with pytest.raises(ValueError, match="has a constant term"):
+        M.kl_basis(x)
 
 
 def test_kl_basis_rejects_bad_index_and_caches_none():

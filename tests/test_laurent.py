@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckekit.laurent import (
+    PACK_BITS,
     LaurentPoly,
     NotDivisible,
     ONE,
@@ -11,6 +12,8 @@ from heckekit.laurent import (
     div_exact,
     dot,
     lincomb,
+    pack,
+    unpack,
     vpow,
 )
 
@@ -228,3 +231,48 @@ def test_lincomb_stores_no_zero_values(pairs):
     assert lincomb(cancelling) == {}
     assert lincomb(iter(cancelling)) == {}
     assert lincomb([]) == {}
+
+
+# -- Kronecker packing -------------------------------------------------------------
+
+HALF = 1 << (PACK_BITS - 1)
+packable = st.builds(
+    LaurentPoly,
+    st.dictionaries(st.integers(0, 8),
+                    st.one_of(st.integers(-9, 9), st.integers(-HALF + 1, HALF - 1)),
+                    max_size=6),
+)
+
+
+@given(packable)
+def test_pack_round_trip(p):
+    n = pack(p)
+    assert unpack(n) == p
+    assert n == sum(k << (PACK_BITS * e) for e, k in p.items())
+    # the v-shifts of the recursion are shifts of the packed value
+    assert unpack(n << PACK_BITS) == p * V
+    assert 0 not in unpack(n)._c.values()
+
+
+@given(packable)
+def test_pack_round_trip_narrow(p):
+    small = LaurentPoly({e: max(-7, min(7, k)) for e, k in p.items()})
+    assert unpack(pack(small, 4), 4) == small
+
+
+def test_pack_extremes():
+    for k in (HALF - 1, -HALF + 1):
+        p = LaurentPoly({0: k, 3: -k, 5: 1})
+        assert unpack(pack(p)) == p
+    assert pack(ZERO) == 0 and unpack(0) == ZERO
+    assert pack(ONE) == 1
+
+
+def test_pack_rejects_negative_exponent_and_oversized_coefficient():
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        pack(V_INV + V)
+    for k in (HALF, -HALF, 3 * HALF):
+        with pytest.raises(ValueError, match=f"coefficient {k} needs more than 64 bits"):
+            pack(LaurentPoly({2: k}))
+    with pytest.raises(ValueError, match="coefficient 8 needs more than 4 bits"):
+        pack(vpow(1, 8), 4)
