@@ -76,31 +76,56 @@ def _print_json(obj) -> None:
 
 
 def _print_table(system: CoxeterSystem, elements, fmt: str, head: dict,
-                 keys: tuple[str, str, str], header: str, rows) -> None:
-    """Print (a, b, polynomial) rows over `elements` as JSON objects with
-    the given keys, or as TSV lines below `header`.  `rows` may be a
-    generator, so TSV streams without holding the table twice.  A table
-    repeats few words and few distinct polynomials many times, so each
-    one is rendered once."""
-    word = {w: system.word_str(w) for w in elements}
-    memo: dict = {}
+                 keys: tuple[str, str, str], header: str, columns) -> None:
+    """Print a table given as columns (b, {a: p}) over `elements`: rows
+    (a, b, p), a ascending within each column, as TSV lines below `header`
+    or as JSON, `head` with a "rows" list of objects with the given keys,
+    byte for byte what json.dumps(indent=2) writes.  Every column holds
+    its diagonal entry; the first must not be empty, since it is the one
+    whose leading JSON separator is dropped.
+
+    Each column is written as one joined string.  A table repeats few
+    words and few distinct polynomials many times, so each word, the
+    part of a row shared by a column, and the text of each distinct
+    polynomial, with its row end, are rendered once."""
+    name = {w: system.word_str(w) for w in elements}
     if fmt == "json":
-        ka, kb, kp = keys
-        out = []
-        for a, b, p in rows:
-            pairs = memo.get(p)
-            if pairs is None:
-                pairs = memo[p] = p.to_pairs()
-            out.append({ka: word[a], kb: word[b], kp: pairs})
-        _print_json({**head, "rows": out})
-        return
+        ka, kb, kp = (f"      {json.dumps(k)}: " for k in keys)
+        name = {w: json.dumps(t) for w, t in name.items()}
+        # every row opens with the separator; the first row drops it
+        first = {w: f",\n    {{\n{ka}{t}" for w, t in name.items()}
+        # the head without its closing "\n}", then the rows list
+        opening = json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
+        before, after, skip, closing = f",\n{kb}", f",\n{kp}", 1, "\n  ]\n}\n"
+
+        def render(p):
+            text = json.dumps(p.to_pairs(), indent=2)
+            return text.replace("\n", "\n      ") + "\n    }"
+    else:
+        first = name
+        opening, before, after, skip, closing = header + "\n", "\t", "\t", 0, ""
+
+        def render(p):
+            return f"{p}\n"
+    texts: dict = {}
     write = sys.stdout.write
-    write(header + "\n")
-    for a, b, p in rows:
-        text = memo.get(p)
-        if text is None:
-            text = memo[p] = str(p)
-        write(f"{word[a]}\t{word[b]}\t{text}\n")
+    write(opening)
+    for b, col in columns:
+        mid = before + name[b] + after
+        parts: list[str] = []
+        add = parts.append
+        for a in sorted(col):
+            p = col[a]
+            try:
+                text = texts[p]
+            except KeyError:
+                text = texts[p] = render(p)
+            add(first[a])
+            add(mid)
+            add(text)
+        write("".join(parts)[skip:])
+        skip = 0
+    write(closing)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -109,12 +134,11 @@ def _print_table(system: CoxeterSystem, elements, fmt: str, head: dict,
 def cmd_kl_table(args) -> int:
     system, label = _load_system(args)
     algebra = HeckeAlgebra(system)
-    # the whole basis is computed before the first line is printed
-    kls = [algebra.kl_basis(x) for x in range(system.size)]
-    rows = ((y, x, kl.terms[y])
-            for x, kl in enumerate(kls) for y in sorted(kl.terms))
+    # the whole basis is computed before the first byte is written;
+    # column x of the table is the term map of KL_x
+    columns = [(x, algebra.kl_basis(x).terms) for x in range(system.size)]
     _print_table(system, range(system.size), args.format, {"system": label},
-                 ("y", "x", "h"), "# y\tx\th", rows)
+                 ("y", "x", "h"), "# y\tx\th", columns)
     return 0
 
 
@@ -122,11 +146,10 @@ def cmd_parabolic_tables(args) -> int:
     system, label = _load_system(args)
     algebra = HeckeAlgebra(system)
     module = algebra.parabolic(_parse_subset(system, args.subset))
-    pkls = [(x, module.kl_basis(x)) for x in module.reps]
-    rows = ((y, x, pkl.terms[y]) for x, pkl in pkls for y in sorted(pkl.terms))
+    columns = [(x, module.kl_basis(x).terms) for x in module.reps]
     _print_table(system, module.reps, args.format,
                  {"system": label, "subset": module.subset_labels()},
-                 ("y", "x", "h"), "# y\tx\th^I", rows)
+                 ("y", "x", "h"), "# y\tx\th^I", columns)
     return 0
 
 
@@ -134,12 +157,15 @@ def cmd_inverse_tables(args) -> int:
     system, label = _load_system(args)
     algebra = HeckeAlgebra(system)
     module = algebra.parabolic(_parse_subset(system, args.subset))
-    # all rows come before the first line is printed; g[x] has a key at each z >= x
-    g = {x: module.inverse_row(x) for x in module.reps}
-    rows = ((x, z, g[x][z]) for z in module.reps for x in module.reps if z in g[x])
+    # all rows come before the first byte is written; row x has a key at
+    # each z >= x, and column z of the table is {x: g_{x,z}}
+    columns = {z: {} for z in module.reps}
+    for x in module.reps:
+        for z, g in module.inverse_row(x).items():
+            columns[z][x] = g
     _print_table(system, module.reps, args.format,
                  {"system": label, "subset": module.subset_labels()},
-                 ("x", "z", "g"), "# x\tz\tg^I", rows)
+                 ("x", "z", "g"), "# x\tz\tg^I", columns.items())
     return 0
 
 

@@ -172,8 +172,10 @@ class HeckeAlgebra:
     `_polys` that maps the packed value p(2^K) of each KL coefficient, of
     H or of a module, to the one shared object standing for every equal
     entry.  `_packed` maps the id of each interned object back to its
-    packed value, and `_bound` is the largest coefficient size packed so
-    far.  Queries are pure in (system, arguments).
+    packed value, `_pairs` maps a packed value n to the interned pair
+    (n, n << K) that a KL element writes at w and at its partner sw, and
+    `_bound` is the largest coefficient size packed so far.  Queries are
+    pure in (system, arguments).
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -182,6 +184,7 @@ class HeckeAlgebra:
         self._kl: dict[int, HeckeElt] = {}
         self._polys: dict[int, LaurentPoly] = {}
         self._packed: dict[int, int] = {}
+        self._pairs: dict[int, tuple[LaurentPoly, LaurentPoly]] = {}
         self._bound = 0
         self._parabolic: dict[frozenset[int], object] = {}
 
@@ -303,10 +306,12 @@ class HeckeAlgebra:
         are computed, each as a packed int n = h(2^K) (module docstring):
         v^-1 p_w + p_{sw} is (n_w >> K) + n_{sw}, (v + v^-1) p_w is
         (n_w << K) + (n_w >> K), and mu h_{w,z} is subtracted as mu * n.
-        Each n is looked up in `_polys` and decoded only on a miss; the
-        partner sw gets the entry of n << K.  A coefficient that is not
-        interned is packed on the fly.  Every position reached is kept, so
-        the keys are [e, x] in W^I, with zero values in N only.
+        An n whose w has a partner sw != w is looked up in `_pairs`, so
+        one lookup gives the entries of both, n at w and n << K at sw; the
+        rest are looked up in `_polys`.  A value is decoded only on a miss.
+        A coefficient that is not interned is packed on the fly.  Every
+        position reached is kept, so the keys are [e, x] in W^I, with zero
+        values in N only.
         """
         if x == 0:
             return {0: self._polys.get(1) or self._intern(1)}
@@ -360,20 +365,27 @@ class HeckeAlgebra:
                 f"KL element of {sys.word_str(x)}: coefficients up to "
                 f"{self._bound} times {total} may not fit in {K}-bit packing")
         polys = self._polys
+        pairs = self._pairs
         terms: dict[int, LaurentPoly] = {}
         for w, n in upper.items():
-            try:
-                terms[w] = polys[n]
-            except KeyError:
-                terms[w] = self._intern(n)
             sw = left[w][s]
             if sw != w:
-                n <<= K
                 try:
-                    terms[sw] = polys[n]
+                    terms[w], terms[sw] = pairs[n]
                 except KeyError:
-                    terms[sw] = self._intern(n)
+                    terms[w], terms[sw] = pairs[n] = (self._poly(n),
+                                                      self._poly(n << K))
+            else:
+                try:
+                    terms[w] = polys[n]
+                except KeyError:
+                    terms[w] = self._intern(n)
         return terms
+
+    def _poly(self, n: int) -> LaurentPoly:
+        """The interned object of packed value n."""
+        p = self._polys.get(n)
+        return self._intern(n) if p is None else p
 
     def _intern(self, n: int) -> LaurentPoly:
         """Decode packed value n into the shared object standing for it."""

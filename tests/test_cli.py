@@ -4,6 +4,8 @@ import json
 import pytest
 
 from heckekit.cli import main
+from heckekit.hecke import HeckeAlgebra
+from heckekit.parabolic import ParabolicModule
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +143,11 @@ TABLE_DIGESTS = [
      "e9367754cd28c694609e0bad5fb7ca40b528b91d62707cd89d21ab6a9bbf44e0"),
     (("inverse-tables", "--type", "B3", "--subset", "s2,s3"),
      "0d533dd6542f43481645320057853cf765fed18110a4f21513d93370013b5844"),
+    # recorded before the table commands wrote their JSON column by column
+    (("parabolic-tables", "--type", "B3", "--subset", "s1", "--format", "json"),
+     "e1a74d0c26a03bf97bed42dd48a35c5c0c0a0e5fd11fc5fafc99627956c019b2"),
+    (("inverse-tables", "--type", "B3", "--subset", "s2,s3", "--format", "json"),
+     "9cf8fae7ae33b98352e8ee8249d815034f7a042259265e57dd3f59c0de4dbab3"),
 ]
 
 
@@ -152,19 +159,31 @@ def test_table_output_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_table_error_prints_no_rows(capsys, monkeypatch):
-    from heckekit.parabolic import NotInIdeal, ParabolicModule
+TABLE_FAULTS = [
+    # (command, class, method, the argument of its last call in the command)
+    ("kl-table", HeckeAlgebra, "kl_basis", lambda obj: obj.system.size - 1),
+    ("parabolic-tables", ParabolicModule, "kl_basis", lambda obj: obj.reps[-1]),
+    ("inverse-tables", ParabolicModule, "inverse_row", lambda obj: obj.reps[-1]),
+]
 
-    original = ParabolicModule.kl_basis
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("command,cls,method,last", TABLE_FAULTS,
+                         ids=[f[0] for f in TABLE_FAULTS])
+def test_table_error_prints_no_rows(capsys, monkeypatch, command, cls, method,
+                                    last, fmt):
+    # the whole table is computed before the first byte is written
+    original = getattr(cls, method)
 
     def failing(self, x):
-        if x == self.reps[-1]:
-            raise NotInIdeal("injected")
+        if x == last(self):
+            raise ValueError("injected")
         return original(self, x)
 
-    monkeypatch.setattr(ParabolicModule, "kl_basis", failing)
-    code, out, err = run_cli(capsys, "parabolic-tables", "--type", "A2",
-                             "--subset", "s1")
+    monkeypatch.setattr(cls, method, failing)
+    subset = () if command == "kl-table" else ("--subset", "s1")
+    code, out, err = run_cli(capsys, command, "--type", "A2", *subset,
+                             "--format", fmt)
     assert code == 2
     assert out == ""
     assert "injected" in err
