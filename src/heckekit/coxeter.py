@@ -9,17 +9,19 @@ a subset I (W_I, W^I, w = y u) reads one table, the minimal coset
 representative of every element, built on first use.  Queries are pure
 functions of (system, arguments).
 
-Elements are enumerated by one of two exact realizations:
+Elements are enumerated as the orbit of one chamber: w is keyed by w^-1
+applied to a base chamber, so key(w s) = act(s, key(w)).  There are two
+exact realizations:
 
-* bond labels in {2, 3, 4, 6} admit an integer root system; elements are
-  the permutations they induce on the (finite) set of roots;
-* rank-2 systems with an arbitrary label m >= 2 act on Z/2m by affine
-  maps, s1 by i -> -i and s2 by i -> 2 - i; an element is the pair
-  (e, c) of the map i -> e*i + c, so keys have constant size for every m.
+* rank-2 systems with an arbitrary label m >= 2 act on the 2m chambers
+  Z/2m, s1 by i -> -1 - i and s2 by i -> 1 - i; keys are single integers
+  for every m;
+* otherwise bond labels in {2, 3, 4, 6} admit an integer Cartan matrix;
+  keys are the images of rho = (1, ..., 1), a functional given by its
+  values on the simple roots.
 
-Either way the realization is faithful, so distinct elements get
-distinct keys.  Non-crystallographic bonds in rank >= 3 (H3, H4, ...)
-are rejected.
+Either way distinct elements get distinct keys.  Non-crystallographic
+bonds in rank >= 3 (H3, H4, ...) are rejected.
 """
 
 from __future__ import annotations
@@ -131,6 +133,7 @@ class CoxeterMatrix:
 
 _FACTOR_RE = re.compile(r"^([A-H])(\d+)$")
 _I2_RE = re.compile(r"^I2\((\d+)\)$")
+_GEN_RE = re.compile(r"s([1-9][0-9]*)")
 
 
 def _chain(n: int, last: int = 3) -> dict[tuple[int, int], int]:
@@ -178,13 +181,20 @@ def _named_factor_bonds(factor: str) -> tuple[int, dict[tuple[int, int], int]]:
 # element realizations
 
 
-def _root_permutation_gens(matrix: CoxeterMatrix, cap: int):
-    """Generators as permutations of the full root set of an integer
-    realization of the matrix (bond labels restricted to {2,3,4,6})."""
+def _chamber_action(matrix: CoxeterMatrix):
+    """(identity key, act) with key(w s) = act(s, key(w)), keys distinct.
+
+    The dihedral action on Z/2m is simply transitive.  rho lies inside
+    the fundamental chamber, whose images under W are disjoint (Tits;
+    Vinberg for non-symmetric Cartan pairs), and s_i moves a functional
+    f by f o s_i: f_j -> f_j - a[i][j] f_i.
+    """
     n = matrix.rank
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = 2
+    if n == 2:
+        m2 = 2 * matrix.bond(0, 1)
+        return 0, lambda s, i: (2 * s - 1 - i) % m2
+    # a[i][j] = <alpha_j, alpha_i^vee>, so s_i(alpha_j) = alpha_j - a[i][j] alpha_i
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             label = matrix.bond(i, j)
@@ -196,56 +206,11 @@ def _root_permutation_gens(matrix: CoxeterMatrix, cap: int):
                 )
             a[i][j], a[j][i] = _CRYSTAL_PAIRS[label]
 
-    def reflect(i: int, root: tuple[int, ...]) -> tuple[int, ...]:
-        # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
-        pair = sum(b * a[i][j] for j, b in enumerate(root))
-        out = list(root)
-        out[i] -= pair
-        return tuple(out)
+    def act(i: int, f: tuple[int, ...]) -> tuple[int, ...]:
+        fi = f[i]
+        return tuple([fj - aij * fi for fj, aij in zip(f, a[i])])
 
-    roots: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
-    for i in range(n):
-        root = tuple(1 if j == i else 0 for j in range(n))
-        index[root] = len(roots)
-        roots.append(root)
-    frontier = list(roots)
-    while frontier:
-        new = []
-        for root in frontier:
-            for i in range(n):
-                img = reflect(i, root)
-                if img not in index:
-                    index[img] = len(roots)
-                    roots.append(img)
-                    new.append(img)
-                    if len(roots) > 2 * cap:
-                        raise GroupTooLarge(
-                            f"root system exceeds {2 * cap} roots; "
-                            "the group is infinite or the cap is too small"
-                        )
-        frontier = new
-
-    gens = [tuple(index[reflect(i, r)] for r in roots) for i in range(n)]
-    return tuple(range(len(roots))), gens, _permute
-
-
-def _permute(key: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation key * g (g acts first)."""
-    return tuple(map(key.__getitem__, g))
-
-
-def _dihedral_gens(matrix: CoxeterMatrix):
-    """Rank 2, any bond label m >= 2: the reflections i -> -i and
-    i -> 2 - i of Z/2m, which generate the dihedral group of order 2m,
-    as pairs (e, c) standing for i -> e*i + c."""
-    n = 2 * matrix.bond(0, 1)
-
-    def compose(key: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
-        # i -> e*(f*i + d) + c  is  i -> e*f*i + (e*d + c)
-        return key[0] * g[0], (key[0] * g[1] + key[1]) % n
-
-    return (1, 0), [(-1, 0), (-1, 2)], compose
+    return (1,) * n, act
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +246,10 @@ class CoxeterSystem:
         return f"s{s + 1}"
 
     def gen_index(self, label: str) -> int:
-        if label.startswith("s"):
-            try:
-                s = int(label[1:]) - 1
-            except ValueError:
-                s = -1
-            if 0 <= s < self.rank:
-                return s
+        """The index of "s1".."sn": ASCII digits, no sign, space or leading 0."""
+        m = _GEN_RE.fullmatch(label)
+        if m and int(m.group(1)) <= self.rank:
+            return int(m.group(1)) - 1
         raise ValueError(f"unknown generator label {label!r}")
 
     def word_str(self, w: int) -> str:
@@ -433,17 +395,17 @@ class CoxeterSystem:
 
 
 def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
-    """Enumerate the Coxeter system of `matrix`.
+    """Enumerate the Coxeter system of `matrix` as the orbit of the base
+    chamber under right multiplication by generators (see the module
+    docstring).
 
     Raises UnsupportedBond for non-crystallographic bonds in rank >= 3 and
     GroupTooLarge when the enumeration exceeds `cap` elements.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    if matrix.rank == 2:
-        identity, gen_keys, compose = _dihedral_gens(matrix)
-    else:
-        identity, gen_keys, compose = _root_permutation_gens(matrix, cap)
+    identity, act = _chamber_action(matrix)
+    gens = range(matrix.rank)
 
     # Elements are extended on the right in index order, generators in
     # order, so each w is first reached from the (u, s) that minimises
@@ -458,8 +420,8 @@ def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
     right = []
     for u, key in enumerate(keys):
         row = []
-        for s, g in enumerate(gen_keys):
-            k2 = compose(key, g)
+        for s in gens:
+            k2 = act(s, key)
             w = index.get(k2)
             if w is None:
                 w = index[k2] = len(keys)

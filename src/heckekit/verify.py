@@ -272,6 +272,8 @@ SUITES = {
 
 def run_suites(algebra: HeckeAlgebra, names=None, *, seed: int = DEFAULT_SEED,
                bs_words: int = DEFAULT_BS_WORDS) -> list[SuiteResult]:
+    if bs_words < 0:
+        raise ValueError(f"bs_words must be non-negative, got {bs_words}")
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]

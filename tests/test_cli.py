@@ -220,6 +220,37 @@ def test_bad_element_word(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("hom-rank", "--type", "A3", "s+1", "s 2"),
+    ("parabolic-tables", "--type", "A3", "--subset", "s01"),
+])
+def test_lax_generator_label_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unknown generator label" in err
+
+
+def test_subset_labels_may_follow_spaces(capsys):
+    code, out, _ = run_cli(capsys, "parabolic-tables", "--type", "A3",
+                           "--subset", "s1, s2")
+    assert code == 0
+    assert out == run_cli(capsys, "parabolic-tables", "--type", "A3",
+                          "--subset", "s1,s2")[1]
+
+
+def test_negative_words_rejected(capsys):
+    code, out, err = run_cli(capsys, "verify", "--type", "A2", "--suite",
+                             "bs-positivity", "--words", "-5")
+    assert code == 2
+    assert out == ""
+    assert "bs_words must be non-negative, got -5" in err
+    code, out, _ = run_cli(capsys, "verify", "--type", "A2", "--suite",
+                           "bs-positivity", "--words", "0")
+    assert code == 0
+    assert "\tpass\t" in out
+
+
 def test_non_minimal_rep_rejected(capsys):
     code, _, err = run_cli(capsys, "rouquier-shape", "--type", "A2",
                            "--subset", "s1", "s1")

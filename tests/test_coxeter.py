@@ -91,8 +91,13 @@ def test_group_too_large():
     with pytest.raises(GroupTooLarge) as err:
         build(affine, cap=1000)
     assert str(err.value) == (
-        "root system exceeds 2000 roots; "
-        "the group is infinite or the cap is too small"
+        "more than 1000 elements; the group is infinite or the cap is too small"
+    )
+    hyperbolic = CoxeterMatrix([[1, 6, 6], [6, 1, 6], [6, 6, 1]])
+    with pytest.raises(GroupTooLarge) as err:
+        build(hyperbolic, cap=1000)
+    assert str(err.value) == (
+        "more than 1000 elements; the group is infinite or the cap is too small"
     )
     with pytest.raises(GroupTooLarge):
         build(CoxeterMatrix.from_name("A3"), cap=10)
@@ -130,6 +135,9 @@ ENUMERATION_DIGESTS = {
     "A4": "27c8784169c01f839362b158f026a6a2befd201c10e4e041444550479070346b",
     "D4": "c024c96eb2cfdf3474576e93e44b7a59ce484e8f015775fff06ab0759a14812e",
     "F4": "7c25f04d2d331ee2226909fa431da30c653c9fdfb43c0753fb663704ee6b3187",
+    "A5": "73b2e69defdf0022390652562268c8cedb1a1faa9b818320bed6c05100e8873c",
+    "D5": "da3a14d27d285026db5156f21d69afdbe7b8d63219e8ce4f63ed17252870963e",
+    "B5": "8bb1f4d12210f26dc14062f74f4da9dc6eca3f5e5fa5916a19a4ea2f26ecb3b2",
 }
 
 
@@ -329,3 +337,21 @@ def test_word_parsing(sys_of):
         W.parse_element("s9")
     with pytest.raises(ValueError):
         W.parse_element("x1")
+
+
+@pytest.mark.parametrize("label", [
+    "s01", "s+1", "s 1", "s1 ", " s1", "s\uff11", "s-1", "s0", "s4", "s1\n",
+    "S1", "s", "s1.0",
+])
+def test_gen_index_rejects_lax_labels(sys_of, label):
+    W = sys_of("A3")
+    with pytest.raises(ValueError):
+        W.gen_index(label)
+    with pytest.raises(ValueError):
+        W.parse_element(f"s2.{label}.s2")
+
+
+def test_gen_index_reads_canonical_labels(sys_of):
+    W = sys_of("A3")
+    assert [W.gen_index(W.gen_label(s)) for s in W.gens()] == [0, 1, 2]
+    assert build(CoxeterMatrix.from_name("A1x" * 11 + "A1")).gen_index("s12") == 11
