@@ -87,7 +87,7 @@ class CoxeterMatrix:
         Factors are joined with "x" and laid out block-diagonally;
         generators are labeled s1..sn in Dynkin order across the blocks.
         """
-        factors = [f.strip() for f in name.split("x") if f.strip()]
+        factors = [f.strip(" ") for f in name.split("x") if f.strip(" ")]
         if not factors:
             raise ValueError(f"empty type name: {name!r}")
         blocks = [_named_factor_bonds(f) for f in factors]
@@ -106,7 +106,11 @@ class CoxeterMatrix:
     @classmethod
     def from_text(cls, text: str) -> "CoxeterMatrix":
         """Parse "rank  m12 m13 ... m23 ..." (upper triangle, row-major)."""
-        values = [int(tok) for tok in text.split()]
+        tokens = text.split()
+        bad = [tok for tok in tokens if not _NUMERAL_RE.fullmatch(tok)]
+        if bad:
+            raise ValueError(f"Coxeter matrix entries are positive integers, got {bad[0]!r}")
+        values = [int(tok) for tok in tokens]
         if not values:
             raise ValueError("empty Coxeter matrix description")
         rank = values[0]
@@ -131,9 +135,12 @@ class CoxeterMatrix:
             return cls.from_text(fh.read())
 
 
-_FACTOR_RE = re.compile(r"^([A-H])(\d+)$")
-_I2_RE = re.compile(r"^I2\((\d+)\)$")
-_GEN_RE = re.compile(r"s([1-9][0-9]*)")
+# an ASCII numeral without sign or leading zero; every pattern is fullmatched
+_NUMERAL = r"[1-9][0-9]*"
+_NUMERAL_RE = re.compile(_NUMERAL)
+_FACTOR_RE = re.compile(rf"([A-H])({_NUMERAL})")
+_I2_RE = re.compile(rf"I2\(({_NUMERAL})\)")
+_GEN_RE = re.compile(rf"s({_NUMERAL})")
 
 
 def _chain(n: int, last: int = 3) -> dict[tuple[int, int], int]:
@@ -144,13 +151,13 @@ def _chain(n: int, last: int = 3) -> dict[tuple[int, int], int]:
 
 
 def _named_factor_bonds(factor: str) -> tuple[int, dict[tuple[int, int], int]]:
-    m = _I2_RE.match(factor)
+    m = _I2_RE.fullmatch(factor)
     if m:
         label = int(m.group(1))
         if label < 2:
             raise ValueError(f"I2(m) needs m >= 2, got {factor!r}")
         return 2, {(0, 1): label}
-    m = _FACTOR_RE.match(factor)
+    m = _FACTOR_RE.fullmatch(factor)
     if not m:
         raise ValueError(f"unknown type name: {factor!r}")
     letter, n = m.group(1), int(m.group(2))

@@ -96,7 +96,13 @@ def mirror_shape(shape: ComplexShape) -> ComplexShape:
         -deg: tuple(sorted((y, -shift, mult) for y, shift, mult in entries))
         for deg, entries in shape.terms.items()
     }
-    return ComplexShape(shape.module, shape.apex, terms)
+    out = ComplexShape(shape.module, shape.apex, terms)
+    # the term (y, i, m) in degree i adds (y, (-1)^i m v^i) to the
+    # character of shape; its mirror (y, -i, m) in degree -i adds the same
+    # pair to the bar-twisted character of out, and vice versa, so the two
+    # cached sums swap
+    out._char, out._bar_char = shape._bar_char, shape._char
+    return out
 
 
 def e_shape(module: ParabolicModule, x: int) -> ComplexShape:

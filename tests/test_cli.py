@@ -231,6 +231,13 @@ def test_lax_generator_label_rejected(capsys, argv):
     assert "unknown generator label" in err
 
 
+def test_lax_type_numeral_rejected(capsys):
+    code, out, err = run_cli(capsys, "verify", "--type", "A03")
+    assert code == 2
+    assert out == ""
+    assert "unknown type name: 'A03'" in err
+
+
 def test_subset_labels_may_follow_spaces(capsys):
     code, out, _ = run_cli(capsys, "parabolic-tables", "--type", "A3",
                            "--subset", "s1, s2")

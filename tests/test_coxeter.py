@@ -38,6 +38,30 @@ def test_named_type_errors():
         CoxeterMatrix.from_name("")
 
 
+@pytest.mark.parametrize("name", [
+    "A\uff13", "A03", "A3\n", "A3 \n", "\tA3", "A+3", "A-3", "A 3", "I2(\uff107)",
+    "I2(07)", "I2(+7)", "I2( 7)", "I2(7)\n", "A1xA03", "A0",
+])
+def test_named_type_rejects_lax_numerals(name):
+    with pytest.raises(ValueError, match="unknown type name"):
+        CoxeterMatrix.from_name(name)
+
+
+@pytest.mark.parametrize("text", [
+    "3 +3 \uff12 3", "3 03 2 3", "3 3 2 -3", "+3 3 2 3", "03 3 2 3", "3 3 2 3.0",
+    "3 3 2 0x3",
+])
+def test_matrix_text_rejects_lax_numerals(text):
+    with pytest.raises(ValueError, match="positive integers"):
+        CoxeterMatrix.from_text(text)
+
+
+def test_named_type_reads_canonical_numerals():
+    assert CoxeterMatrix.from_name("A1 x A2") == CoxeterMatrix.from_name("A1xA2")
+    assert CoxeterMatrix.from_name("I2(10)").bond(0, 1) == 10
+    assert CoxeterMatrix.from_text("3\n3 2\n3\n") == CoxeterMatrix.from_name("A3")
+
+
 def test_matrix_from_text_matches_named():
     m = CoxeterMatrix.from_text("3  3 2 3")
     assert m == CoxeterMatrix.from_name("A3")

@@ -5,7 +5,7 @@ import pytest
 
 from heckekit import e_shape, euler_hom, f_shape, shape_character
 from heckekit.laurent import ONE, ZERO, div_exact
-from heckekit.rouquier import ComplexShape
+from heckekit.rouquier import ComplexShape, _kl_sum, mirror_shape
 
 from oracles import signed_inverse_from_decomposition, trace_pairing
 
@@ -77,6 +77,22 @@ def test_e_shape_mirrors_f_shape(alg_of):
         for deg, entries in fsh.terms.items():
             mirrored = tuple(sorted((y, -deg, m) for y, _, m in entries))
             assert esh.terms[-deg] == mirrored
+
+
+def test_mirror_swaps_the_two_shape_sums(alg_of):
+    # mirror_shape hands the two cached characters over swapped, which is
+    # exact only if these sums agree term for term
+    for name in CROSS_ROUTE_TYPES:
+        H = alg_of(name)
+        for subset in _all_subsets(H.system.rank):
+            M = H.parabolic(subset)
+            for x in M.reps:
+                f = f_shape(M, x)
+                assert _kl_sum(mirror_shape(f), -1).terms == _kl_sum(f, 1).terms
+                assert _kl_sum(mirror_shape(f), 1).terms == _kl_sum(f, -1).terms
+                shape_character(f)
+                e = mirror_shape(f)
+                assert e._bar_char is f._char and e._char is None
 
 
 def test_degree_one_layer_is_mu_like(alg_of):

@@ -139,6 +139,36 @@ def _corrupt_kl(H, _subset, _x, _z, _top, mid, y):
     H._kl[mid] = H.elt(terms)
 
 
+def _corrupt_coset_rep(H, subset, x, _z, top, *_):
+    # the coset table sends top to x, so project_q(top, subset) = x
+    sys = H.system
+    x, top = sys.parse_element(x), sys.parse_element(top)
+    sys._coset_reps(subset)[top] = x
+
+
+def _corrupt_inverse(H, _subset, x, z, *_):
+    # x^-1 is read as z^-1, so the products of row x start at H_{z^-1}
+    sys = H.system
+    x, z = sys.parse_element(x), sys.parse_element(z)
+    inv = list(sys._inv)
+    inv[x] = inv[z]
+    sys._inv = inv
+
+
+def _corrupt_pairing(H, _subset, x, z, *_):
+    # (H_x, H_z) comes out as v
+    sys = H.system
+    x, z = sys.parse_element(x), sys.parse_element(z)
+    pairing = H.pairing
+
+    def corrupted(h1, h2):
+        if list(h1.terms) == [x] and list(h2.terms) == [z]:
+            return LaurentPoly({1: 1})
+        return pairing(h1, h2)
+
+    H.pairing = corrupted
+
+
 # case: (type, corruption, [(suite, checks, failures, messages)])
 PINNED_FAULTS = {
     "A3-inverse-row": ("A3", _corrupt_inverse_row, [
@@ -242,6 +272,56 @@ PINNED_FAULTS = {
             "I={s2, s3} inversion fails at x=s2.s3.s2.s1, z=s1.s2.s3.s2.s1",
             "I={s2, s3} inversion fails at x=s1.s2.s3.s2.s1, z=s1.s2.s3.s2.s1",
             "I={s2, s3} transposed inversion fails at x=s1.s2.s3.s2.s1, z=s1.s2.s3.s2.s1",
+        ]),
+    ]),
+    "A3-q-monotonicity": ("A3", _corrupt_coset_rep, [
+        ("q-monotonicity", 1704, 13, [
+            "I={s1} projection not monotone at v=s3, w=s1.s2.s1.s3.s2",
+            "I={s1} projection not monotone at v=s1.s2, w=s1.s2.s1.s3.s2",
+            "I={s1} projection not monotone at v=s1.s3, w=s1.s2.s1.s3.s2",
+            "I={s1} projection not monotone at v=s2.s3, w=s1.s2.s1.s3.s2",
+            "I={s1} projection not monotone at v=s3.s2, w=s1.s2.s1.s3.s2",
+            "I={s1} projection not monotone at v=s1.s2.s1, w=s1.s2.s1.s3.s2",
+            "I={s1} projection not monotone at v=s1.s2.s3, w=s1.s2.s1.s3.s2",
+            "I={s1} projection not monotone at v=s1.s3.s2, w=s1.s2.s1.s3.s2",
+            "I={s1} projection not monotone at v=s2.s1.s3, w=s1.s2.s1.s3.s2",
+            "I={s1} projection not monotone at v=s2.s3.s2, w=s1.s2.s1.s3.s2",
+            "I={s1} projection not monotone at v=s1.s2.s1.s3, w=s1.s2.s1.s3.s2",
+            "I={s1} projection not monotone at v=s1.s2.s3.s2, w=s1.s2.s1.s3.s2",
+            "I={s1} projection not monotone at v=s2.s1.s3.s2, w=s1.s2.s1.s3.s2",
+        ]),
+    ]),
+    "A3-pairing": ("A3", _corrupt_inverse, [
+        ("pairing", 576, 2, [
+            "eps(a(H[s2]) H[s2]) = 0, (H[s2], H[s2]) = 1*v^0",
+            "eps(a(H[s2]) H[s1.s2.s3.s2]) = 1*v^0, (H[s2], H[s1.s2.s3.s2]) = 0",
+        ]),
+    ]),
+    "A3-pairing-value": ("A3", _corrupt_pairing, [
+        ("pairing", 576, 1, [
+            "eps(a(H[s2]) H[s1.s2.s3.s2]) = 0, (H[s2], H[s1.s2.s3.s2]) = 1*v^1",
+        ]),
+    ]),
+    "B3-q-monotonicity": ("B3", _corrupt_coset_rep, [
+        ("q-monotonicity", 6776, 7, [
+            "I={s2, s3} projection not monotone at v=s2.s1, w=s1.s2.s3.s2.s1",
+            "I={s2, s3} projection not monotone at v=s1.s2.s1, w=s1.s2.s3.s2.s1",
+            "I={s2, s3} projection not monotone at v=s2.s1.s3, w=s1.s2.s3.s2.s1",
+            "I={s2, s3} projection not monotone at v=s3.s2.s1, w=s1.s2.s3.s2.s1",
+            "I={s2, s3} projection not monotone at v=s1.s2.s1.s3, w=s1.s2.s3.s2.s1",
+            "I={s2, s3} projection not monotone at v=s1.s3.s2.s1, w=s1.s2.s3.s2.s1",
+            "I={s2, s3} projection not monotone at v=s2.s3.s2.s1, w=s1.s2.s3.s2.s1",
+        ]),
+    ]),
+    "B3-pairing": ("B3", _corrupt_inverse, [
+        ("pairing", 2304, 2, [
+            "eps(a(H[s1]) H[s1]) = 0, (H[s1], H[s1]) = 1*v^0",
+            "eps(a(H[s1]) H[s2.s1]) = 1*v^0, (H[s1], H[s2.s1]) = 0",
+        ]),
+    ]),
+    "B3-pairing-value": ("B3", _corrupt_pairing, [
+        ("pairing", 2304, 1, [
+            "eps(a(H[s1]) H[s2.s1]) = 0, (H[s1], H[s2.s1]) = 1*v^1",
         ]),
     ]),
 }
