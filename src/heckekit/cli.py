@@ -3,13 +3,15 @@
 Subcommands emit deterministic tables (TSV by default, JSON behind
 --format json), run the verification suites, and reproduce the worked
 rank-3 decomposition.  Exit codes: 0 success, 1 a verification suite
-failed, 2 input error.
+failed, 2 input error, 141 stdout closed by its reader (as `| head` does),
+the status of a shell command killed by SIGPIPE, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import coxeter, rouquier, soergel, verify
@@ -35,7 +37,10 @@ def _add_common(parser: argparse.ArgumentParser, subset: bool = True) -> None:
 
 def _load_system(args) -> tuple[CoxeterSystem, str]:
     if args.matrix:
-        matrix = CoxeterMatrix.from_file(args.matrix)
+        try:
+            matrix = CoxeterMatrix.from_file(args.matrix)
+        except OSError as exc:
+            raise InputError(str(exc)) from None
         label = f"matrix:{args.matrix}"
     elif args.type:
         matrix = CoxeterMatrix.from_name(args.type)
@@ -322,9 +327,16 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early; devnull takes the flush at exit, which
+        # would raise again (the SIGPIPE note of Python's `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     # InputError, UnsupportedBond and NotInIdeal are ValueErrors
-    except (ValueError, GroupTooLarge, OSError) as exc:
+    except (ValueError, GroupTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

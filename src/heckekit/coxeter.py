@@ -87,9 +87,11 @@ class CoxeterMatrix:
         Factors are joined with "x" and laid out block-diagonally;
         generators are labeled s1..sn in Dynkin order across the blocks.
         """
-        factors = [f.strip(" ") for f in name.split("x") if f.strip(" ")]
-        if not factors:
+        if not name.strip(" "):
             raise ValueError(f"empty type name: {name!r}")
+        factors = [f.strip(" ") for f in name.split("x")]
+        if "" in factors:
+            raise ValueError(f"unknown type name: {name!r} has an empty factor")
         blocks = [_named_factor_bonds(f) for f in factors]
         rank = sum(n for n, _ in blocks)
         m = [[2] * rank for _ in range(rank)]

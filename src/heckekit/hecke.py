@@ -23,10 +23,11 @@ word w = s1 ... sk.
 
 The KL recursion uses the descent identity (Kazhdan-Lusztig, Invent.
 Math. 53 (1979), §2: P_{y,w} = P_{sy,w} when sw < w): if s is a left
-descent of x, then h_{w,x} = v h_{sw,x} for every w with sw > w.  So
-`_kl_terms` computes only the coefficients at the s-descents w and reads
-the rest off by a shift of v.  It also runs over W^I in the two parabolic
-modules (parabolic.py); H is the case W^I = W.
+descent of x, then h_{w,x} = v h_{sw,x} for every w with sw > w.  So a
+`KLTable` computes only the coefficients at the s-descents w and reads
+the rest off by a shift of v.  One table holds the KL basis of H; each
+parabolic module with I != {} holds two more over W^I (parabolic.py),
+and H is the case W^I = W.
 
 Off the diagonal every h there lies in vZ[v], so the recursion holds each
 coefficient as the one int n = p(2^K), K = `PACK_BITS` (Kronecker
@@ -164,28 +165,164 @@ class HeckeElt(TermElt):
         return super().__mul__(other)
 
 
+class Packing:
+    """The KL coefficients of one algebra, shared by the KL tables of H and
+    of its modules.  `polys` maps the packed value p(2^K) of each
+    coefficient to the one shared object standing for every equal entry,
+    `packed` maps the id of each interned object back to its packed value,
+    `pairs` maps a packed value n to the interned pair (n, n << K) that a
+    KL element writes at w and at its partner sw, and `bound` is the
+    largest coefficient size packed so far."""
+
+    def __init__(self):
+        self.polys: dict[int, LaurentPoly] = {}
+        self.packed: dict[int, int] = {}
+        self.pairs: dict[int, tuple[LaurentPoly, LaurentPoly]] = {}
+        self.bound = 0
+
+    def poly(self, n: int) -> LaurentPoly:
+        """The interned object of packed value n, decoded on first use."""
+        p = self.polys.get(n)
+        if p is None:
+            p = self.polys[n] = unpack(n, PACK_BITS)
+            self.packed[id(p)] = n
+            self.bound = max(self.bound, *map(abs, p._c.values()), 0)
+        return p
+
+    def pack(self, p: LaurentPoly) -> int:
+        """Pack a coefficient that is not interned, widening `bound`."""
+        n = pack(p, PACK_BITS)
+        self.bound = max(self.bound, *map(abs, p._c.values()), 0)
+        return n
+
+
+class KLTable(dict):
+    """The memoized KL table of H or of a parabolic module over W^I: maps
+    x to the term map of its KL element, computed on the first lookup of
+    x by the inductive algorithm on the first letter s of x:
+
+        KL_x = KL_s KL_{sx} - sum_z mu(z, sx) KL_z
+
+    over z < sx with sz < z, or sz = z in the spherical module.
+    `left[w][s]` is sw, or w where sw is not in W^I, and there
+    KL_s P_w = (v + v^-1) P_w in M (`spherical`) and 0 in N (never in H).
+    The table reads W only through `lengths`, first letters and `word_str`.
+
+    By the descent identity h_{w,u} = v h_{sw,u} for sw > w (Kazhdan-Lusztig
+    1979, P_{y,w} = P_{sy,w}), only the coefficients at w with sw <= w
+    are computed, each as a packed int n = h(2^K) (module docstring):
+    v^-1 p_w + p_{sw} is (n_w >> K) + n_{sw}, (v + v^-1) p_w is
+    (n_w << K) + (n_w >> K), and mu h_{w,z} is subtracted as mu * n.
+    An n whose w has a partner sw != w is looked up in `pairs`, so one
+    lookup gives the entries of both, n at w and n << K at sw; the rest
+    are looked up in `polys`.  A value is decoded only on a miss.  A
+    coefficient that is not interned is packed on the fly.  Every position
+    reached is kept, so the keys are [e, x] in W^I, with zero values in N
+    only.  A lookup that raises ValueError stores nothing.
+    """
+
+    def __init__(self, system: CoxeterSystem, left, spherical: bool,
+                 packing: Packing):
+        super().__init__()
+        self.system = system
+        self.left = left
+        self.spherical = spherical
+        self.packing = packing
+
+    def __missing__(self, x: int) -> dict[int, LaurentPoly]:
+        pk = self.packing
+        if x == 0:
+            terms = self[0] = {0: pk.poly(1)}
+            return terms
+        K = PACK_BITS
+        mask = (1 << K) - 1
+        packed = pk.packed
+        sys = self.system
+        lengths = sys.lengths
+        left = self.left
+        spherical = self.spherical
+        s = sys.words[x][0]
+        y = left[x][s]
+        below = self[y]
+        upper: dict[int, int] = {}
+        for w, p in below.items():
+            try:
+                n = packed[id(p)]
+            except KeyError:
+                n = pk.pack(p)
+            sw = left[w][s]
+            if lengths[sw] < lengths[w]:
+                if n & mask:
+                    raise self._constant_term(w, y, p)
+                upper[w] = upper.get(w, 0) + (n >> K)
+            elif sw != w:
+                upper[sw] = upper.get(sw, 0) + n
+            elif spherical:
+                # w is its own partner: nothing else lands here
+                if n & mask:
+                    raise self._constant_term(w, y, p)
+                upper[w] = (n << K) + (n >> K)
+            else:
+                upper[w] = 0
+        # the keys of upper are the w in [e, y] with sw <= w, and x
+        total = 2
+        for z, hzy in below.items():
+            m = hzy._c.get(1)
+            if not m or z == y:
+                continue
+            sz = left[z][s]
+            if lengths[sz] > lengths[z] or sz == z and not spherical:
+                continue
+            total += abs(m)
+            for w, p in self[z].items():
+                if w in upper:
+                    try:
+                        n = packed[id(p)]
+                    except KeyError:
+                        n = pk.pack(p)
+                    upper[w] -= m * n
+        if pk.bound * total >= 1 << (K - 1):
+            raise ValueError(
+                f"KL element of {sys.word_str(x)}: coefficients up to "
+                f"{pk.bound} times {total} may not fit in {K}-bit packing")
+        polys = pk.polys
+        pairs = pk.pairs
+        terms: dict[int, LaurentPoly] = {}
+        for w, n in upper.items():
+            sw = left[w][s]
+            if sw != w:
+                try:
+                    terms[w], terms[sw] = pairs[n]
+                except KeyError:
+                    terms[w], terms[sw] = pairs[n] = (pk.poly(n), pk.poly(n << K))
+            else:
+                try:
+                    terms[w] = polys[n]
+                except KeyError:
+                    terms[w] = pk.poly(n)
+        self[x] = terms
+        return terms
+
+    def _constant_term(self, w: int, y: int, p: LaurentPoly) -> ValueError:
+        word = self.system.word_str
+        return ValueError(f"off-diagonal KL coefficient at ({word(w)}, {word(y)}) "
+                          f"has a constant term: {p}")
+
+
 class HeckeAlgebra:
     """Hecke algebra attached to a CoxeterSystem.
 
     Keeps per-system memo tables: bar of standard basis elements, the
-    KL basis `_kl`, the parabolic modules, and the interning table
-    `_polys` that maps the packed value p(2^K) of each KL coefficient, of
-    H or of a module, to the one shared object standing for every equal
-    entry.  `_packed` maps the id of each interned object back to its
-    packed value, `_pairs` maps a packed value n to the interned pair
-    (n, n << K) that a KL element writes at w and at its partner sw, and
-    `_bound` is the largest coefficient size packed so far.  Queries are
-    pure in (system, arguments).
+    KL table `_kl`, the parabolic modules, and the `Packing` that the KL
+    tables of H and of its modules share.  Queries are pure in (system,
+    arguments).
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._bar_basis: dict[int, dict[int, LaurentPoly]] = {0: {0: ONE}}
-        self._kl: dict[int, HeckeElt] = {}
-        self._polys: dict[int, LaurentPoly] = {}
-        self._packed: dict[int, int] = {}
-        self._pairs: dict[int, tuple[LaurentPoly, LaurentPoly]] = {}
-        self._bound = 0
+        self._packing = Packing()
+        self._kl = KLTable(system, system._left, False, self._packing)
         self._parabolic: dict[frozenset[int], object] = {}
 
     # -- constructors -------------------------------------------------------
@@ -280,130 +417,10 @@ class HeckeAlgebra:
     # -- Kazhdan-Lusztig basis -----------------------------------------------------
 
     def kl_basis(self, x: int) -> HeckeElt:
-        """KL_x, by the descent recursion of `_kl_terms` over all of W."""
-        cached = self._kl.get(x)
-        if cached is None:
-            if not 0 <= x < self.system.size:
-                raise ValueError(f"element index {x} out of range")
-            terms = self._kl_terms(x, lambda z: self.kl_basis(z).terms,
-                                   self.system._left, False)
-            cached = self._kl[x] = HeckeElt(self, terms)
-        return cached
-
-    def _kl_terms(self, x: int, element, left, spherical: bool
-                  ) -> dict[int, LaurentPoly]:
-        """The KL element of x in H or in a parabolic module over W^I, as
-        a term map, by the inductive algorithm on the first letter s of x:
-
-            KL_x = KL_s KL_{sx} - sum_z mu(z, sx) KL_z
-
-        over z < sx with sz < z, or sz = z in the spherical module.
-        `left[w][s]` is sw, or w where sw is not in W^I, and there
-        KL_s P_w = (v + v^-1) P_w in M (`spherical`) and 0 in N (never in
-        H).  `element(z)` is the term map of z, cached by the caller.  By
-        the descent identity h_{w,u} = v h_{sw,u} for sw > w (Kazhdan-Lusztig
-        1979, P_{y,w} = P_{sy,w}), only the coefficients at w with sw <= w
-        are computed, each as a packed int n = h(2^K) (module docstring):
-        v^-1 p_w + p_{sw} is (n_w >> K) + n_{sw}, (v + v^-1) p_w is
-        (n_w << K) + (n_w >> K), and mu h_{w,z} is subtracted as mu * n.
-        An n whose w has a partner sw != w is looked up in `_pairs`, so
-        one lookup gives the entries of both, n at w and n << K at sw; the
-        rest are looked up in `_polys`.  A value is decoded only on a miss.
-        A coefficient that is not interned is packed on the fly.  Every
-        position reached is kept, so the keys are [e, x] in W^I, with zero
-        values in N only.
-        """
-        if x == 0:
-            return {0: self._polys.get(1) or self._intern(1)}
-        K = PACK_BITS
-        mask = (1 << K) - 1
-        packed = self._packed
-        sys = self.system
-        lengths = sys.lengths
-        s = sys.words[x][0]
-        y = left[x][s]
-        below = element(y)
-        upper: dict[int, int] = {}
-        for w, p in below.items():
-            try:
-                n = packed[id(p)]
-            except KeyError:
-                n = self._pack(p)
-            sw = left[w][s]
-            if lengths[sw] < lengths[w]:
-                if n & mask:
-                    raise self._constant_term(w, y, p)
-                upper[w] = upper.get(w, 0) + (n >> K)
-            elif sw != w:
-                upper[sw] = upper.get(sw, 0) + n
-            elif spherical:
-                # w is its own partner: nothing else lands here
-                if n & mask:
-                    raise self._constant_term(w, y, p)
-                upper[w] = (n << K) + (n >> K)
-            else:
-                upper[w] = 0
-        # the keys of upper are the w in [e, y] with sw <= w, and x
-        total = 2
-        for z, hzy in below.items():
-            m = hzy._c.get(1)
-            if not m or z == y:
-                continue
-            sz = left[z][s]
-            if lengths[sz] > lengths[z] or sz == z and not spherical:
-                continue
-            total += abs(m)
-            for w, p in element(z).items():
-                if w in upper:
-                    try:
-                        n = packed[id(p)]
-                    except KeyError:
-                        n = self._pack(p)
-                    upper[w] -= m * n
-        if self._bound * total >= 1 << (K - 1):
-            raise ValueError(
-                f"KL element of {sys.word_str(x)}: coefficients up to "
-                f"{self._bound} times {total} may not fit in {K}-bit packing")
-        polys = self._polys
-        pairs = self._pairs
-        terms: dict[int, LaurentPoly] = {}
-        for w, n in upper.items():
-            sw = left[w][s]
-            if sw != w:
-                try:
-                    terms[w], terms[sw] = pairs[n]
-                except KeyError:
-                    terms[w], terms[sw] = pairs[n] = (self._poly(n),
-                                                      self._poly(n << K))
-            else:
-                try:
-                    terms[w] = polys[n]
-                except KeyError:
-                    terms[w] = self._intern(n)
-        return terms
-
-    def _poly(self, n: int) -> LaurentPoly:
-        """The interned object of packed value n."""
-        p = self._polys.get(n)
-        return self._intern(n) if p is None else p
-
-    def _intern(self, n: int) -> LaurentPoly:
-        """Decode packed value n into the shared object standing for it."""
-        p = self._polys[n] = unpack(n, PACK_BITS)
-        self._packed[id(p)] = n
-        self._bound = max(self._bound, *map(abs, p._c.values()), 0)
-        return p
-
-    def _pack(self, p: LaurentPoly) -> int:
-        """Pack a coefficient that is not interned, widening `_bound`."""
-        n = pack(p, PACK_BITS)
-        self._bound = max(self._bound, *map(abs, p._c.values()), 0)
-        return n
-
-    def _constant_term(self, w: int, y: int, p: LaurentPoly) -> ValueError:
-        word = self.system.word_str
-        return ValueError(f"off-diagonal KL coefficient at ({word(w)}, {word(y)}) "
-                          f"has a constant term: {p}")
+        """KL_x, the x entry of the KL table over all of W."""
+        if not 0 <= x < self.system.size:
+            raise ValueError(f"element index {x} out of range")
+        return HeckeElt(self, self._kl[x])
 
     def kl_poly(self, y: int, x: int) -> LaurentPoly:
         """h_{y,x}: the H_y coefficient of KL_x (0 unless y <= x)."""

@@ -5,10 +5,10 @@ indexed by the minimal coset representatives x in W^I, on which each
 KL_s acts by Deodhar's three cases (`kl_gen_mult`).  This is the
 spherical module M; the antispherical module N differs only in
 KL_s N_x = 0 where sx is not in W^I (Deodhar, J. Algebra 111 (1987);
-Soergel, Represent. Theory 1 (1997), §3).  The KL bases of both come
-from the recursion of H (`HeckeAlgebra._kl_terms`) run over W^I, so no
-element of H is computed; for I = {} both modules are H and read its
-table.  PKL_x embeds as KL_{x w_I}.  The inverse parabolic KL
+Soergel, Represent. Theory 1 (1997), §3).  The KL bases of both are
+`KLTable`s over W^I, the recursion of H (hecke.py) with the action above,
+so no element of H is computed; for I = {} both modules are H and read
+its table.  PKL_x embeds as KL_{x w_I}.  The inverse parabolic KL
 polynomials, the solution g_{x,z} of
 
     sum_y (-1)^(l(y) - l(x)) g_{x,y} h_{y,z} = delta_{x,z},
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .hecke import HeckeAlgebra, HeckeElt, TermElt, _acc, _own
+from .hecke import HeckeAlgebra, HeckeElt, KLTable, TermElt, _acc, _own
 from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, lincomb, vpow
 
 _V_PLUS_VINV = V + V_INV
@@ -62,9 +62,11 @@ class ParabolicModule:
         # r -> w0 r w_I, an order-reversing involution of W^I
         self._opposite = {r: sys.mult(sys.mult(sys.longest, r), self.w_long)
                           for r in self.reps}
-        # memo tables: PKL_x, the KL elements of N, the inverse rows
-        self._pkl: dict[int, ParabolicElt] = {}
-        self._nkl: dict[int, dict[int, LaurentPoly]] = {}
+        # memo tables: the KL tables of M and N (both H's for I = {}), inverse rows
+        self._pkl = self._nkl = algebra._kl
+        if self.subset:
+            self._pkl = KLTable(sys, self._left, True, algebra._packing)
+            self._nkl = KLTable(sys, self._left, False, algebra._packing)
         self._rows: dict[int, dict[int, LaurentPoly]] = {}
 
     def poincare(self) -> LaurentPoly:
@@ -139,16 +141,8 @@ class ParabolicModule:
 
     def kl_basis(self, x: int) -> ParabolicElt:
         """PKL_x, the KL element of x in M; unitriangular at x."""
-        cached = self._pkl.get(x)
-        if cached is None:
-            self._check_rep(x)
-            if self.subset:
-                terms = self.algebra._kl_terms(
-                    x, lambda z: self.kl_basis(z).terms, self._left, True)
-            else:
-                terms = self.algebra.kl_basis(x).terms
-            cached = self._pkl[x] = ParabolicElt(self, terms)
-        return cached
+        self._check_rep(x)
+        return ParabolicElt(self, self._pkl[x])
 
     def from_kl(self, pairs: Iterable[tuple[int, LaurentPoly]]) -> ParabolicElt:
         """sum_y c_y PKL_y over (y, c_y) pairs, in the standard basis; a y
@@ -163,15 +157,6 @@ class ParabolicModule:
 
     # -- inverse parabolic KL polynomials ----------------------------------------------
 
-    def _antispherical(self, m: int) -> dict[int, LaurentPoly]:
-        """The KL element of m in N, a term map over [e, m] in W^I with
-        its zero values kept (I != {})."""
-        cached = self._nkl.get(m)
-        if cached is None:
-            cached = self._nkl[m] = self.algebra._kl_terms(
-                m, self._antispherical, self._left, False)
-        return cached
-
     def inverse_row(self, x: int) -> dict[int, LaurentPoly]:
         """{z: g_{x,z}} for all z >= x in W^I, zero values included.
 
@@ -184,10 +169,8 @@ class ParabolicModule:
         if row is None:
             self._check_rep(x)
             opposite = self._opposite
-            m = opposite[x]
-            terms = (self._antispherical(m) if self.subset
-                     else self.algebra.kl_basis(m).terms)
-            row = self._rows[x] = {opposite[r]: g for r, g in terms.items()}
+            row = self._rows[x] = {opposite[r]: g
+                                   for r, g in self._nkl[opposite[x]].items()}
         return row
 
     def inverse_kl(self, x: int, z: int) -> LaurentPoly:

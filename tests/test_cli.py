@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,14 @@ TABLE_DIGESTS = [
      "e1a74d0c26a03bf97bed42dd48a35c5c0c0a0e5fd11fc5fafc99627956c019b2"),
     (("inverse-tables", "--type", "B3", "--subset", "s2,s3", "--format", "json"),
      "9cf8fae7ae33b98352e8ee8249d815034f7a042259265e57dd3f59c0de4dbab3"),
+    # module tables on larger groups, recorded before M and N had their own
+    # KL table objects
+    (("parabolic-tables", "--type", "F4", "--subset", "s1"),
+     "b25e7351cbedd7fcc331087b14f7e8da525e2d230bbc424de918c6e259e08ad5"),
+    (("inverse-tables", "--type", "F4", "--subset", "s1"),
+     "7027e8875cd7d3644829b68ea63fb96153dfab3e885ad52f9d588ce4c0414999"),
+    (("inverse-tables", "--type", "D5", "--subset", "s2"),
+     "bcbe6d862ca12f1bfc0b59d5e9526fe953046dfad0e8908e4d2b38a031c2c75e"),
 ]
 
 
@@ -288,3 +300,23 @@ def test_matrix_file_input(tmp_path, capsys):
 def test_missing_matrix_file(capsys):
     code, _, err = run_cli(capsys, "kl-table", "--matrix", "/nonexistent/x")
     assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("type_name", ["A1", "B4"], ids=["final-flush", "mid-table"])
+def test_closed_stdout_exits_141_quietly(type_name):
+    # the read end is closed before the child writes, as `| head -1` may;
+    # A1 fits the stdout buffer and fails in the final flush, B4 mid-table
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "heckekit.cli", "kl-table", "--type", type_name],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -34,13 +34,14 @@ def test_named_type_errors():
         CoxeterMatrix.from_name("Q7")
     with pytest.raises(ValueError):
         CoxeterMatrix.from_name("I2(1)")
-    with pytest.raises(ValueError):
-        CoxeterMatrix.from_name("")
+    for name in ("", "   "):
+        with pytest.raises(ValueError, match="empty type name"):
+            CoxeterMatrix.from_name(name)
 
 
 @pytest.mark.parametrize("name", [
     "A\uff13", "A03", "A3\n", "A3 \n", "\tA3", "A+3", "A-3", "A 3", "I2(\uff107)",
-    "I2(07)", "I2(+7)", "I2( 7)", "I2(7)\n", "A1xA03", "A0",
+    "I2(07)", "I2(+7)", "I2( 7)", "I2(7)\n", "A1xA03", "A0", "A1xxA2", "xA1", "A1x",
 ])
 def test_named_type_rejects_lax_numerals(name):
     with pytest.raises(ValueError, match="unknown type name"):

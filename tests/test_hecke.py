@@ -421,8 +421,8 @@ def test_kl_coefficients_are_interned():
         for p in terms.values():
             assert seen.setdefault(p, p) is p
     # H and its modules share one table, holding exactly those values
-    assert len(H._polys) == len(seen)
-    assert sorted(map(id, H._polys.values())) == sorted(map(id, seen.values()))
+    assert len(H._packing.polys) == len(seen)
+    assert sorted(map(id, H._packing.polys.values())) == sorted(map(id, seen.values()))
 
 
 @pytest.mark.parametrize("bits", [4, 6, 8])
@@ -487,6 +487,28 @@ def test_corrupted_fixed_entry_of_spherical_module_raises():
             break
     with pytest.raises(ValueError, match="has a constant term"):
         M.kl_basis(x)
+    assert x not in M._pkl
+
+
+def test_corrupted_entry_of_antispherical_module_raises():
+    # the same guard in N, reached through inverse_row: a failed lookup
+    # stores neither the KL element of m nor the row of its opposite
+    H = HeckeAlgebra(build_named("B3"))
+    W = H.system
+    M = H.parabolic([0])
+    for m in M.reps[1:]:
+        s = W.words[m][0]
+        y = M._left[m][s]
+        terms = M._nkl[y]
+        descents = [w for w in terms if W.lengths[M._left[w][s]] < W.lengths[w]]
+        if descents:
+            terms[descents[0]] = terms[descents[0]] + 1
+            break
+    x = M._opposite[m]
+    with pytest.raises(ValueError, match="has a constant term"):
+        M.inverse_row(x)
+    assert m not in M._nkl
+    assert x not in M._rows
 
 
 def test_kl_basis_rejects_bad_index_and_caches_none():

@@ -341,6 +341,21 @@ def test_modules_compute_no_hecke_kl_element(sys_of):
     assert not H._kl
 
 
+def test_empty_subset_modules_fill_the_table_of_h(sys_of):
+    # for I = {} both modules are H: kl_basis and inverse_row read and
+    # fill its one KL table
+    H = HeckeAlgebra(sys_of("A3"))
+    M = H.parabolic([])
+    x = H.system.parse_element("s1.s2")
+    assert M.kl_basis(x).terms is H._kl[x]
+    m = M._opposite[x]
+    assert m not in H._kl
+    row = M.inverse_row(x)
+    assert m in H._kl
+    assert sorted(row) == sorted(M._opposite[r] for r in H._kl[m])
+    assert M._pkl is H._kl and M._nkl is H._kl
+
+
 @pytest.mark.parametrize("name, zeros", [("A3", 60), ("D4", 5162)])
 def test_inverse_row_keeps_zero_entries(alg_of, name, zeros):
     # g_{x,z} vanishes on some comparable pairs; those keys stay in the
