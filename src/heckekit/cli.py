@@ -17,6 +17,7 @@ import sys
 from . import coxeter, rouquier, soergel, verify
 from .coxeter import CoxeterMatrix, CoxeterSystem, GroupTooLarge
 from .hecke import HeckeAlgebra
+from .parabolic import ParabolicModule
 
 
 class InputError(ValueError):
@@ -52,14 +53,15 @@ def _load_system(args) -> tuple[CoxeterSystem, str]:
     return coxeter.build(matrix, cap=args.cap), label
 
 
-def _parse_subset(system: CoxeterSystem, text: str) -> frozenset[int]:
-    text = (text or "").strip()
-    if not text:
-        return frozenset()
+def _load_module(args) -> tuple[ParabolicModule, str]:
+    """The module of --subset over the system of `_load_system`, and its label."""
+    system, label = _load_system(args)
+    tokens = args.subset.split(",") if args.subset.strip() else []
     try:
-        return frozenset(system.gen_index(tok.strip()) for tok in text.split(","))
+        subset = [system.gen_index(tok.strip()) for tok in tokens]
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    return HeckeAlgebra(system).parabolic(subset), label
 
 
 def _parse_rep(module, text: str) -> int:
@@ -148,43 +150,33 @@ def cmd_kl_table(args) -> int:
 
 
 def cmd_parabolic_tables(args) -> int:
-    system, label = _load_system(args)
-    algebra = HeckeAlgebra(system)
-    module = algebra.parabolic(_parse_subset(system, args.subset))
+    module, label = _load_module(args)
     columns = [(x, module.kl_basis(x).terms) for x in module.reps]
-    _print_table(system, module.reps, args.format,
+    _print_table(module.system, module.reps, args.format,
                  {"system": label, "subset": module.subset_labels()},
                  ("y", "x", "h"), "# y\tx\th^I", columns)
     return 0
 
 
 def cmd_inverse_tables(args) -> int:
-    system, label = _load_system(args)
-    algebra = HeckeAlgebra(system)
-    module = algebra.parabolic(_parse_subset(system, args.subset))
-    # all rows come before the first byte is written; row x has a key at
-    # each z >= x, and column z of the table is {x: g_{x,z}}
-    columns = {z: {} for z in module.reps}
-    for x in module.reps:
-        for z, g in module.inverse_row(x).items():
-            columns[z][x] = g
-    _print_table(system, module.reps, args.format,
+    module, label = _load_module(args)
+    # all columns come before the first byte is written
+    columns = [(z, module.inverse_col(z)) for z in module.reps]
+    _print_table(module.system, module.reps, args.format,
                  {"system": label, "subset": module.subset_labels()},
-                 ("x", "z", "g"), "# x\tz\tg^I", columns.items())
+                 ("x", "z", "g"), "# x\tz\tg^I", columns)
     return 0
 
 
 def cmd_rouquier_shape(args) -> int:
-    system, label = _load_system(args)
-    algebra = HeckeAlgebra(system)
-    module = algebra.parabolic(_parse_subset(system, args.subset))
+    module, label = _load_module(args)
     x = _parse_rep(module, args.x)
     shape = (rouquier.e_shape if args.negative else rouquier.f_shape)(module, x)
     if args.format == "json":
         _print_json({
             "system": label,
             "subset": module.subset_labels(),
-            "x": system.word_str(x),
+            "x": module.system.word_str(x),
             "degrees": shape.to_json_obj(),
         })
     else:
@@ -195,9 +187,7 @@ def cmd_rouquier_shape(args) -> int:
 
 
 def cmd_hom_rank(args) -> int:
-    system, label = _load_system(args)
-    algebra = HeckeAlgebra(system)
-    module = algebra.parabolic(_parse_subset(system, args.subset))
+    module, label = _load_module(args)
     x = _parse_rep(module, args.x)
     y = _parse_rep(module, args.y)
     rank = soergel.graded_hom_rank(
@@ -207,8 +197,8 @@ def cmd_hom_rank(args) -> int:
         _print_json({
             "system": label,
             "subset": module.subset_labels(),
-            "x": system.word_str(x),
-            "y": system.word_str(y),
+            "x": module.system.word_str(x),
+            "y": module.system.word_str(y),
             "rank": rank.to_pairs(),
         })
     else:

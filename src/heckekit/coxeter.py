@@ -26,6 +26,7 @@ bonds in rank >= 3 (H3, H4, ...) are rejected.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Sequence
 
@@ -54,7 +55,10 @@ class CoxeterMatrix:
         rank = len(entries)
         if rank < 1:
             raise ValueError("rank must be positive")
-        m = tuple(tuple(int(x) for x in row) for row in entries)
+        try:
+            m = tuple(tuple(operator.index(x) for x in row) for row in entries)
+        except TypeError:
+            raise ValueError("Coxeter matrix entries must be integers") from None
         if any(len(row) != rank for row in m):
             raise ValueError("Coxeter matrix must be square")
         for i in range(rank):
@@ -336,6 +340,9 @@ class CoxeterSystem:
         """Bruhat order by the descent recursion, a single chain of at most
         l(y) steps: for s the smallest left descent of y, x <= y iff
         sx <= sy when sx < x, and x <= sy otherwise."""
+        if not (0 <= x < self.size and 0 <= y < self.size):
+            for w in (x, y):
+                self._check_element(w)
         lengths, left, words = self.lengths, self._left, self.words
         while x != y and x != 0:
             lx = lengths[x]

@@ -424,6 +424,7 @@ class HeckeAlgebra:
 
     def kl_poly(self, y: int, x: int) -> LaurentPoly:
         """h_{y,x}: the H_y coefficient of KL_x (0 unless y <= x)."""
+        self.system._check_element(y)
         return self.kl_basis(x).coeff(y)
 
     def mu(self, y: int, x: int) -> int:

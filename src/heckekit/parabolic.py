@@ -163,7 +163,8 @@ class ParabolicModule:
         The row is the KL element of m = w0 x w_I in N (KL_m in H for
         I = {}) reindexed by r -> w0 r w_I.  Its keys are the positions
         the recursion reaches, [e, m] in W^I, and the reindexing reverses
-        the Bruhat order, so they are the upper interval of x.
+        the Bruhat order, so they are the upper interval of x.  The rows
+        are the one memo of g; `inverse_col` reads its columns from them.
         """
         row = self._rows.get(x)
         if row is None:
@@ -172,6 +173,13 @@ class ParabolicModule:
             row = self._rows[x] = {opposite[r]: g
                                    for r, g in self._nkl[opposite[x]].items()}
         return row
+
+    def inverse_col(self, z: int) -> dict[int, LaurentPoly]:
+        """{x: g_{x,z}} for all x <= z in W^I, x ascending, zero values
+        included: a view of the rows with no memo of its own, keyed by the
+        KL element of z in N, whose keys are [e, z] in W^I."""
+        self._check_rep(z)
+        return {x: self.inverse_row(x)[z] for x in sorted(self._nkl[z])}
 
     def inverse_kl(self, x: int, z: int) -> LaurentPoly:
         """g_{x,z} by KL duality: the z entry of `inverse_row(x)`, so 0

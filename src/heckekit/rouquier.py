@@ -74,20 +74,15 @@ class ComplexShape:
 def f_shape(module: ParabolicModule, x: int) -> ComplexShape:
     """Shape of the positive-lift minimal complex for x in W^I.
 
-    Degree 0 is (x, 0, 1); degree i > 0 collects (y, i, m) with
-    m = coeff(g_{y,x}, i) > 0 over y < x in W^I.
+    Degree i collects (y, i, m) with m = coeff(g_{y,x}, i) > 0 over the
+    column `inverse_col(x)`, y ascending; g_{x,x} = 1 makes (x, 0, 1)
+    the one term of degree 0, and the other y < x lie in degrees i > 0.
     """
-    module._check_rep(x)
-    sys = module.system
-    by_degree: dict[int, list[Term]] = {0: [(x, 0, 1)]}
-    for y in module.reps:
-        if y == x or not sys.bruhat_leq(y, x):
-            continue
-        g = module.inverse_kl(y, x)
+    by_degree: dict[int, list[Term]] = {}
+    for y, g in module.inverse_col(x).items():
         for i, m in g.items():
             by_degree.setdefault(i, []).append((y, i, m))
-    terms = {deg: tuple(sorted(entries)) for deg, entries in by_degree.items()}
-    return ComplexShape(module, x, terms)
+    return ComplexShape(module, x, {i: tuple(e) for i, e in by_degree.items()})
 
 
 def mirror_shape(shape: ComplexShape) -> ComplexShape:

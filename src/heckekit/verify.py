@@ -103,16 +103,15 @@ def suite_inversion(algebra: HeckeAlgebra, **_) -> SuiteResult:
         mod = algebra.parabolic(subset)
         reps = mod.reps
         h_cols = {z: mod.kl_basis(z).terms for z in reps}  # z -> {y: h_{y,z}}
-        g_rows = {x: mod.inverse_row(x) for x in reps}  # x -> {z: g_{x,z}}
         # a corrupted cache may leave a row of h empty, which must count
         # as failures, not raise
-        h_rows, g_cols = _transpose(h_cols), _transpose(g_rows)
+        h_rows = _transpose(h_cols)
         for x in reps:
             lx = lengths[x]
             row = lincomb((-g if (lengths[y] - lx) % 2 else g, h_rows.get(y, {}))
-                          for y, g in g_rows[x].items() if g)
+                          for y, g in mod.inverse_row(x).items() if g)
             col = lincomb((-g if (lengths[y] - lx) % 2 else g, h_cols[y])
-                          for y, g in g_cols[x].items() if g)
+                          for y, g in mod.inverse_col(x).items() if g)
             # lincomb keeps no zero values and the keys lie in reps
             if row == col == {x: ONE}:
                 res.checks += 2 * len(reps)
@@ -294,12 +293,10 @@ def suite_degree_one(algebra: HeckeAlgebra, **_) -> SuiteResult:
     sys = algebra.system
     for subset in _subsets(algebra):
         mod = algebra.parabolic(subset)
-        rows = [(z, mod.inverse_row(z)) for z in mod.reps]
         for x in mod.reps:
             pkl = mod.kl_basis(x)
-            for z, row in rows:
-                g = row.get(x)  # keys: every x >= z
-                if z == x or g is None:
+            for z, g in mod.inverse_col(x).items():
+                if z == x:
                     continue
                 res.check(
                     g.coeff(1) == pkl.coeff(z).coeff(1),

@@ -11,12 +11,15 @@ half-table descent recursion, the parabolic KL basis and the inverse
 parabolic KL rows through the full Hecke algebra instead of the
 recursions over W^I in the two parabolic modules, and the bar involution
 and the expansion of characters by one polynomial product and sum per
-term instead of the library's sparse exponent-map products.
+term instead of the library's sparse exponent-map products, and the
+positive Rouquier shapes by a Bruhat scan of W^I with one g_{y,x} per
+pair instead of the library's one column of g.
 """
 
 import functools
 
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
+from heckekit.rouquier import ComplexShape
 
 
 def bar_solve_kl(algebra, x):
@@ -252,3 +255,19 @@ def to_parabolic_via_acc(char):
         for w, h in module.kl_basis(y).terms.items():
             _acc(out, w, c * h)
     return out
+
+
+def f_shape_via_bruhat(module, x):
+    """The positive-lift shape of x: every y < x in W^I found by
+    `bruhat_leq` over all of W^I, each g_{y,x} read with `inverse_kl`,
+    and the terms of each degree sorted."""
+    module._check_rep(x)
+    sys = module.system
+    by_degree = {0: [(x, 0, 1)]}
+    for y in module.reps:
+        if y == x or not sys.bruhat_leq(y, x):
+            continue
+        for i, m in module.inverse_kl(y, x).items():
+            by_degree.setdefault(i, []).append((y, i, m))
+    terms = {deg: tuple(sorted(entries)) for deg, entries in by_degree.items()}
+    return ComplexShape(module, x, terms)

@@ -18,6 +18,13 @@ def test_matrix_validation():
         CoxeterMatrix([[1, 1], [1, 1]])  # off-diagonal < 2
 
 
+def test_matrix_rejects_non_integral_entries():
+    # int() once truncated 3.9 to the bond 3 and built A2
+    for bad in (3.9, 3.0, "3"):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            CoxeterMatrix([[1, bad], [bad, 1]])
+
+
 def test_named_types(sys_of):
     for name, order, longest_len in [
         ("A1", 2, 1), ("A2", 6, 3), ("A3", 24, 6), ("A4", 120, 10),
@@ -337,6 +344,8 @@ ELEMENT_QUERIES = {
     "reduced_word": lambda W, w: W.reduced_word(w),
     "mult": lambda W, w: W.mult(w, 0),
     "mult-right": lambda W, w: W.mult(0, w),
+    "bruhat_leq": lambda W, w: W.bruhat_leq(w, W.longest),
+    "bruhat_leq-right": lambda W, w: W.bruhat_leq(0, w),
 }
 
 

@@ -523,3 +523,12 @@ def test_kl_basis_rejects_bad_index_and_caches_none():
         # -1 once multiplied by the last generator, rank raised IndexError
         with pytest.raises(ValueError, match=f"generator index {s} out of range"):
             H.mult_gen_right(H.unit(), s)
+
+
+def test_kl_poly_and_mu_reject_bad_y():
+    # a negative y once wrapped around to an element from the end
+    H = HeckeAlgebra(build_named("A3"))
+    for y in (-1, -3, H.system.size):
+        for query in (H.kl_poly, H.mu):
+            with pytest.raises(ValueError, match=f"^element index {y} out of range$"):
+                query(y, 5)

@@ -318,6 +318,12 @@ def test_inverse_row_keys_are_upper_interval(alg_of, name):
             for z in M.reps:
                 assert (z in row) == W.bruhat_leq(x, z), (subset, x, z)
             assert row[x] == ONE
+        # the column of z: keys exactly the y <= z, ascending, and values
+        # the z entries of the rows, zeros included
+        for z in M.reps:
+            col = M.inverse_col(z)
+            assert list(col) == [y for y in M.reps if W.bruhat_leq(y, z)], (subset, z)
+            assert col == {y: M.inverse_row(y)[z] for y in col}, (subset, z)
 
 
 @pytest.mark.parametrize("name", CROSS_ROUTE_TYPES)
@@ -394,6 +400,8 @@ def test_inverse_kl_rejects_non_reps(alg_of):
         M.inverse_kl(s1, s2s1)
     with pytest.raises(ValueError, match=msg("s1")):
         M.inverse_row(s1)
+    with pytest.raises(ValueError, match=msg("s1")):
+        M.inverse_col(s1)
     assert M.inverse_kl(s2, s2) == ONE
 
 

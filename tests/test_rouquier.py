@@ -7,7 +7,7 @@ from heckekit import e_shape, euler_hom, f_shape, shape_character
 from heckekit.laurent import ONE, ZERO, div_exact
 from heckekit.rouquier import ComplexShape, _kl_sum, mirror_shape
 
-from oracles import signed_inverse_from_decomposition, trace_pairing
+from oracles import f_shape_via_bruhat, signed_inverse_from_decomposition, trace_pairing
 
 CROSS_ROUTE_TYPES = ["A1xA1", "A2", "B2", "A3", "B3", "I2(5)", "I2(7)"]
 
@@ -66,6 +66,18 @@ def test_f_shape_invariants(alg_of):
                             assert y != x and W.bruhat_leq(y, x)
                             # parity of the homological degree
                             assert (deg - W.length(x) + W.length(y)) % 2 == 0
+
+
+@pytest.mark.parametrize("name", CROSS_ROUTE_TYPES + ["D4"])
+def test_shapes_match_bruhat_scan(alg_of, name):
+    # one column of g against a Bruhat scan of W^I, every subset
+    H = alg_of(name)
+    for subset in _all_subsets(H.system.rank):
+        M = H.parabolic(subset)
+        for x in M.reps:
+            expected = f_shape_via_bruhat(M, x)
+            assert f_shape(M, x) == expected, (subset, x)
+            assert e_shape(M, x) == mirror_shape(expected), (subset, x)
 
 
 def test_e_shape_mirrors_f_shape(alg_of):
