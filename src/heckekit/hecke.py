@@ -155,10 +155,6 @@ class HeckeElt(TermElt):
 
     __slots__ = ()
 
-    @property
-    def algebra(self) -> "HeckeAlgebra":
-        return self.owner
-
     def __mul__(self, other) -> "HeckeElt":
         if isinstance(other, HeckeElt):
             return self.owner.mult(self, other)

@@ -12,6 +12,7 @@ polynomial fills a fresh dict and wraps it.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Mapping, Union
 
 PolyLike = Union["LaurentPoly", int]
@@ -37,7 +38,8 @@ class LaurentPoly:
         c: dict[int, int] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for e, k in items:
-            k = c.get(e, 0) + k
+            e = _integer(e)
+            k = c.get(e, 0) + _integer(k)
             if k:
                 c[e] = k
             elif e in c:
@@ -56,7 +58,7 @@ class LaurentPoly:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "LaurentPoly":
-        return cls((int(e), int(k)) for e, k in pairs)
+        return cls(pairs)
 
     # -- queries ---------------------------------------------------------
 
@@ -172,14 +174,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^-1 (negate every exponent)."""
         p = LaurentPoly.__new__(LaurentPoly)
@@ -206,6 +200,15 @@ class LaurentPoly:
     def to_pairs(self) -> list[list[int]]:
         """JSON form: [exponent, coefficient] pairs in ascending exponent order."""
         return [[e, k] for e, k in sorted(self._c.items())]
+
+
+def _integer(x) -> int:
+    # operator.index, not int(): a float or a string is an error, not truncated
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(
+            f"exponents and coefficients must be integers, got {x!r}") from None
 
 
 def _as_poly(x: PolyLike) -> LaurentPoly:

@@ -1,9 +1,11 @@
 """Invariant suites over a whole system: every character-level identity
 the library is built on, re-checked exhaustively at desk scale.
 
-Each suite walks all finitary subsets of the generator set (every subset,
-since the system is finite), counts checks and reports the first
-counterexample.  `run_suites` drives a selection by name.
+A suite over the modules W^I is a function of one module, `check(res,
+mod, where)`, with `where` the prefix "I={...}" of its messages;
+`_per_module` makes it the suite over every subset I (each finitary, the
+system being finite).  `_subsets` is the one walk over the subsets.
+`run_suites` runs a selection of suites by name, one after another.
 
 Most suites check in units (a row, a column, a subset) with one fast test
 that every check of the unit passes; a passing unit adds its check count
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 from .hecke import HeckeAlgebra, _VINV_MINUS_V
 from .laurent import LaurentPoly, ONE, ZERO, lincomb
+from .parabolic import ParabolicModule
 from .rouquier import euler_hom, f_shape, mirror_shape, shape_character
 from .soergel import bott_samelson_char
 
@@ -38,6 +41,9 @@ class SuiteResult:
         return self.failures == 0
 
     def check(self, ok: bool, describe) -> None:
+        """Count one check.  `describe()`, the message of a failure, is
+        called at once and only for the first failure, so a closure may
+        read the caller's loop variables without capturing them."""
         self.checks += 1
         if not ok:
             self.failures += 1
@@ -46,19 +52,28 @@ class SuiteResult:
 
 
 def _subsets(algebra: HeckeAlgebra):
-    rank = algebra.system.rank
-    for size in range(rank + 1):
-        for combo in itertools.combinations(range(rank), size):
-            yield frozenset(combo)
+    """Every subset I of the generators, by size, then lexicographically,
+    with its message prefix "I={...}"."""
+    sys = algebra.system
+    for size in range(sys.rank + 1):
+        for combo in itertools.combinations(range(sys.rank), size):
+            yield frozenset(combo), "I={" + ", ".join(map(sys.gen_label, combo)) + "}"
+
+
+def _per_module(name: str, check):
+    """The suite `name` over every parabolic module: `check(res, mod,
+    where)` checks the module W^I, `where` its prefix "I={...}"."""
+    def suite(algebra: HeckeAlgebra, **_) -> SuiteResult:
+        res = SuiteResult(name)
+        for subset, where in _subsets(algebra):
+            check(res, algebra.parabolic(subset), where)
+        return res
+    suite.__doc__ = check.__doc__
+    return suite
 
 
 def _nonzero(values: dict) -> dict:
     return {k: v for k, v in values.items() if v}
-
-
-def _subset_str(algebra, subset) -> str:
-    labels = ", ".join(algebra.system.gen_label(s) for s in sorted(subset))
-    return "{" + labels + "}"
 
 
 def suite_bar_invariance(algebra: HeckeAlgebra, **_) -> SuiteResult:
@@ -68,14 +83,13 @@ def suite_bar_invariance(algebra: HeckeAlgebra, **_) -> SuiteResult:
     for x in range(sys.size):
         kl = algebra.kl_basis(x)
         res.check(algebra.bar(kl) == kl,
-                  lambda x=x: f"KL[{sys.word_str(x)}] is not bar-invariant")
+                  lambda: f"KL[{sys.word_str(x)}] is not bar-invariant")
         for y, p in kl.terms.items():
             if y == x:
-                res.check(p == ONE, lambda x=x: f"leading coefficient of "
+                res.check(p == ONE, lambda: f"leading coefficient of "
                           f"KL[{sys.word_str(x)}] is not 1")
             else:
-                res.check(p.min_degree() >= 1,
-                          lambda y=y, x=x: f"h[{sys.word_str(y)}, "
+                res.check(p.min_degree() >= 1, lambda: f"h[{sys.word_str(y)}, "
                           f"{sys.word_str(x)}] has a nonpositive exponent")
     return res
 
@@ -89,118 +103,89 @@ def _transpose(table: dict[int, dict[int, LaurentPoly]]
     return out
 
 
-def suite_inversion(algebra: HeckeAlgebra, **_) -> SuiteResult:
-    """The inversion identity and its transposed form, every subset.
+def check_inversion(res: SuiteResult, mod: ParabolicModule, where: str) -> None:
+    """The inversion identity and its transposed form.
 
     For each x the whole row sum_y (-1)^(l(y)-l(x)) g_{x,y} h_{y,z} and
     the whole column sum_y (-1)^(l(y)-l(x)) h_{z,y} g_{y,x} are built as
     sparse products over z, then checked against delta_{x,z} z by z.
     """
-    res = SuiteResult("inversion")
-    sys = algebra.system
+    sys, reps = mod.system, mod.reps
     lengths = sys.lengths
-    for subset in _subsets(algebra):
-        mod = algebra.parabolic(subset)
-        reps = mod.reps
-        h_cols = {z: mod.kl_basis(z).terms for z in reps}  # z -> {y: h_{y,z}}
-        # a corrupted cache may leave a row of h empty, which must count
-        # as failures, not raise
-        h_rows = _transpose(h_cols)
-        for x in reps:
-            lx = lengths[x]
-            row = lincomb((-g if (lengths[y] - lx) % 2 else g, h_rows.get(y, {}))
-                          for y, g in mod.inverse_row(x).items() if g)
-            col = lincomb((-g if (lengths[y] - lx) % 2 else g, h_cols[y])
-                          for y, g in mod.inverse_col(x).items() if g)
-            # lincomb keeps no zero values and the keys lie in reps
-            if row == col == {x: ONE}:
-                res.checks += 2 * len(reps)
-                continue
-            for z in reps:
-                expected = ONE if x == z else ZERO
-                res.check(row.get(z, ZERO) == expected,
-                          lambda x=x, z=z, subset=subset:
-                          f"I={_subset_str(algebra, subset)} inversion fails at "
-                          f"x={sys.word_str(x)}, z={sys.word_str(z)}")
-                res.check(col.get(z, ZERO) == expected,
-                          lambda x=x, z=z, subset=subset:
-                          f"I={_subset_str(algebra, subset)} transposed inversion "
-                          f"fails at x={sys.word_str(x)}, z={sys.word_str(z)}")
-    return res
+    h_cols = {z: mod.kl_basis(z).terms for z in reps}  # z -> {y: h_{y,z}}
+    # a corrupted cache may leave a row of h empty, which must count
+    # as failures, not raise
+    h_rows = _transpose(h_cols)
+    for x in reps:
+        lx = lengths[x]
+        row = lincomb((-g if (lengths[y] - lx) % 2 else g, h_rows.get(y, {}))
+                      for y, g in mod.inverse_row(x).items() if g)
+        col = lincomb((-g if (lengths[y] - lx) % 2 else g, h_cols[y])
+                      for y, g in mod.inverse_col(x).items() if g)
+        # lincomb keeps no zero values and the keys lie in reps
+        if row == col == {x: ONE}:
+            res.checks += 2 * len(reps)
+            continue
+        for z in reps:
+            expected = ONE if x == z else ZERO
+            res.check(row.get(z, ZERO) == expected, lambda: f"{where} inversion "
+                      f"fails at x={sys.word_str(x)}, z={sys.word_str(z)}")
+            res.check(col.get(z, ZERO) == expected, lambda: f"{where} transposed "
+                      f"inversion fails at x={sys.word_str(x)}, z={sys.word_str(z)}")
 
 
-def suite_positivity(algebra: HeckeAlgebra, **_) -> SuiteResult:
+def check_positivity(res: SuiteResult, mod: ParabolicModule, where: str) -> None:
     """Inverse parabolic KL polynomials have nonnegative coefficients."""
-    res = SuiteResult("positivity")
-    sys = algebra.system
-    for subset in _subsets(algebra):
-        mod = algebra.parabolic(subset)
-        for x in mod.reps:
-            row = mod.inverse_row(x)
-            if all(g.is_nonneg() for g in row.values()):
-                res.checks += len(mod.reps)
-                continue
-            for z in mod.reps:
-                g = row.get(z, ZERO)
-                res.check(g.is_nonneg(),
-                          lambda x=x, z=z, subset=subset:
-                          f"I={_subset_str(algebra, subset)} g[{sys.word_str(x)}, "
-                          f"{sys.word_str(z)}] = {g} has a negative coefficient")
-    return res
+    sys = mod.system
+    for x in mod.reps:
+        row = mod.inverse_row(x)
+        if all(g.is_nonneg() for g in row.values()):
+            res.checks += len(mod.reps)
+            continue
+        for z in mod.reps:
+            g = row.get(z, ZERO)
+            res.check(g.is_nonneg(), lambda: f"{where} g[{sys.word_str(x)}, "
+                      f"{sys.word_str(z)}] = {g} has a negative coefficient")
 
 
-def suite_parity(algebra: HeckeAlgebra, **_) -> SuiteResult:
+def check_parity(res: SuiteResult, mod: ParabolicModule, where: str) -> None:
     """g_{y,x} is supported on exponents of parity l(x) - l(y)."""
-    res = SuiteResult("parity")
-    sys = algebra.system
+    sys = mod.system
     lengths = sys.lengths
-    for subset in _subsets(algebra):
-        mod = algebra.parabolic(subset)
-        for y in mod.reps:
-            row = mod.inverse_row(y)
-            ly = lengths[y]
-            if all((e - lengths[x] + ly) % 2 == 0
-                   for x, g in row.items() for e in g.support()):
-                res.checks += len(mod.reps)
-                continue
-            for x in mod.reps:
-                g = row.get(x, ZERO)
-                ok = all((e - sys.lengths[x] + sys.lengths[y]) % 2 == 0
-                         for e, _ in g.items())
-                res.check(ok, lambda y=y, x=x, subset=subset:
-                          f"I={_subset_str(algebra, subset)} parity fails for "
-                          f"g[{sys.word_str(y)}, {sys.word_str(x)}]")
-    return res
-
-
-def suite_euler_hom(algebra: HeckeAlgebra, **_) -> SuiteResult:
-    """euler_hom(f_shape(x), e_shape(y)) = delta_{x,y}, every subset."""
-    res = SuiteResult("euler-hom")
-    sys = algebra.system
-    for subset in _subsets(algebra):
-        mod = algebra.parabolic(subset)
-        fs = {x: f_shape(mod, x) for x in mod.reps}
-        # characters first: each mirror takes its bar-twisted character
-        # from them, so every shape sum runs once
-        chars = {x: shape_character(fs[x]) for x in mod.reps}
-        es = {x: mirror_shape(fs[x]) for x in mod.reps}
+    for y in mod.reps:
+        row = mod.inverse_row(y)
+        ly = lengths[y]
+        if all((e - lengths[x] + ly) % 2 == 0
+               for x, g in row.items() for e in g.support()):
+            res.checks += len(mod.reps)
+            continue
         for x in mod.reps:
-            char_ok = chars[x] == mod.delta(x)
-            vals = {y: euler_hom(fs[x], es[y]) for y in mod.reps}
-            if char_ok and _nonzero(vals) == {x: ONE}:
-                res.checks += 1 + len(vals)
-                continue
-            res.check(char_ok,
-                      lambda x=x, subset=subset:
-                      f"I={_subset_str(algebra, subset)} shape character of "
-                      f"{sys.word_str(x)} is not the standard basis element")
-            for y, val in vals.items():
-                expected = ONE if x == y else ZERO
-                res.check(val == expected,
-                          lambda x=x, y=y, subset=subset:
-                          f"I={_subset_str(algebra, subset)} euler_hom fails at "
-                          f"x={sys.word_str(x)}, y={sys.word_str(y)}")
-    return res
+            g = row.get(x, ZERO)
+            ok = all((e - lengths[x] + ly) % 2 == 0 for e, _ in g.items())
+            res.check(ok, lambda: f"{where} parity fails for "
+                      f"g[{sys.word_str(y)}, {sys.word_str(x)}]")
+
+
+def check_euler_hom(res: SuiteResult, mod: ParabolicModule, where: str) -> None:
+    """euler_hom(f_shape(x), e_shape(y)) = delta_{x,y}."""
+    sys = mod.system
+    fs = {x: f_shape(mod, x) for x in mod.reps}
+    # characters first: each mirror takes its bar-twisted character
+    # from them, so every shape sum runs once
+    chars = {x: shape_character(fs[x]) for x in mod.reps}
+    es = {x: mirror_shape(fs[x]) for x in mod.reps}
+    for x in mod.reps:
+        char_ok = chars[x] == mod.delta(x)
+        vals = {y: euler_hom(fs[x], es[y]) for y in mod.reps}
+        if char_ok and _nonzero(vals) == {x: ONE}:
+            res.checks += 1 + len(vals)
+            continue
+        res.check(char_ok, lambda: f"{where} shape character of "
+                  f"{sys.word_str(x)} is not the standard basis element")
+        for y, val in vals.items():
+            expected = ONE if x == y else ZERO
+            res.check(val == expected, lambda: f"{where} euler_hom fails at "
+                      f"x={sys.word_str(x)}, y={sys.word_str(y)}")
 
 
 def suite_q_monotonicity(algebra: HeckeAlgebra, **_) -> SuiteResult:
@@ -210,16 +195,14 @@ def suite_q_monotonicity(algebra: HeckeAlgebra, **_) -> SuiteResult:
     # the comparable pairs v <= w do not depend on the subset
     pairs = [(v, w) for v in range(sys.size) for w in range(sys.size)
              if sys.bruhat_leq(v, w)]
-    for subset in _subsets(algebra):
+    for subset, where in _subsets(algebra):
         proj = {w: sys.project_q(w, subset) for w in range(sys.size)}
         oks = [sys.bruhat_leq(proj[v], proj[w]) for v, w in pairs]
         if all(oks):
             res.checks += len(oks)
             continue
         for (v, w), ok in zip(pairs, oks):
-            res.check(ok,
-                      lambda v=v, w=w, subset=subset:
-                      f"I={_subset_str(algebra, subset)} projection not "
+            res.check(ok, lambda: f"{where} projection not "
                       f"monotone at v={sys.word_str(v)}, w={sys.word_str(w)}")
     return res
 
@@ -260,11 +243,9 @@ def suite_pairing(algebra: HeckeAlgebra, **_) -> SuiteResult:
         for y in range(n):
             trace, val = traces[y], vals[y]
             expected = ONE if x == y else ZERO
-            res.check(trace == expected and val == expected,
-                      lambda x=x, y=y, trace=trace, val=val:
-                      f"eps(a(H[{sys.word_str(x)}]) H[{sys.word_str(y)}]) = "
-                      f"{trace}, (H[{sys.word_str(x)}], H[{sys.word_str(y)}]) "
-                      f"= {val}")
+            res.check(trace == expected and val == expected, lambda: (
+                f"eps(a(H[{sys.word_str(x)}]) H[{sys.word_str(y)}]) = {trace}, "
+                f"(H[{sys.word_str(x)}], H[{sys.word_str(y)}]) = {val}"))
     return res
 
 
@@ -273,49 +254,42 @@ def suite_bs_positivity(algebra: HeckeAlgebra, *, seed: int = DEFAULT_SEED,
     """Bott-Samelson KL-decomposition coefficients lie in Z>=0[v, v^-1]."""
     res = SuiteResult("bs-positivity")
     sys = algebra.system
+    # one random stream across the subsets, so this suite walks them itself
     rng = random.Random(seed)
-    for subset in _subsets(algebra):
+    for subset, where in _subsets(algebra):
         mod = algebra.parabolic(subset)
         for _ in range(bs_words):
             word = [rng.randrange(sys.rank) for _ in range(rng.randrange(0, 9))]
             char = bott_samelson_char(mod, word)
             ok = all(c.is_nonneg() for c in char.coeffs.values())
-            res.check(ok, lambda word=word, subset=subset:
-                      f"I={_subset_str(algebra, subset)} word="
+            res.check(ok, lambda: f"{where} word="
                       f"{'.'.join(sys.gen_label(s) for s in word) or 'e'} has a "
                       "negative decomposition coefficient")
     return res
 
 
-def suite_degree_one(algebra: HeckeAlgebra, **_) -> SuiteResult:
+def check_degree_one(res: SuiteResult, mod: ParabolicModule, where: str) -> None:
     """coeff(g_{z,x}, v) = coeff(h_{z,x}, v) for z < x in W^I."""
-    res = SuiteResult("degree-one")
-    sys = algebra.system
-    for subset in _subsets(algebra):
-        mod = algebra.parabolic(subset)
-        for x in mod.reps:
-            pkl = mod.kl_basis(x)
-            for z, g in mod.inverse_col(x).items():
-                if z == x:
-                    continue
-                res.check(
-                    g.coeff(1) == pkl.coeff(z).coeff(1),
-                    lambda z=z, x=x, subset=subset:
-                    f"I={_subset_str(algebra, subset)} degree-one mismatch at "
-                    f"z={sys.word_str(z)}, x={sys.word_str(x)}")
-    return res
+    sys = mod.system
+    for x in mod.reps:
+        pkl = mod.kl_basis(x)
+        for z, g in mod.inverse_col(x).items():
+            if z != x:
+                res.check(g.coeff(1) == pkl.coeff(z).coeff(1),
+                          lambda: f"{where} degree-one mismatch at "
+                          f"z={sys.word_str(z)}, x={sys.word_str(x)}")
 
 
 SUITES = {
     "bar-invariance": suite_bar_invariance,
-    "inversion": suite_inversion,
-    "positivity": suite_positivity,
-    "parity": suite_parity,
-    "euler-hom": suite_euler_hom,
+    "inversion": _per_module("inversion", check_inversion),
+    "positivity": _per_module("positivity", check_positivity),
+    "parity": _per_module("parity", check_parity),
+    "euler-hom": _per_module("euler-hom", check_euler_hom),
     "q-monotonicity": suite_q_monotonicity,
     "pairing": suite_pairing,
     "bs-positivity": suite_bs_positivity,
-    "degree-one": suite_degree_one,
+    "degree-one": _per_module("degree-one", check_degree_one),
 }
 
 
@@ -323,12 +297,11 @@ def run_suites(algebra: HeckeAlgebra, names=None, *, seed: int = DEFAULT_SEED,
                bs_words: int = DEFAULT_BS_WORDS) -> list[SuiteResult]:
     if bs_words < 0:
         raise ValueError(f"bs_words must be non-negative, got {bs_words}")
-    if names is None:
-        names = list(SUITES)
+    names = list(SUITES) if names is None else list(names)
+    if not names:
+        raise ValueError(f"no suite selected; available: {', '.join(SUITES)}")
     unknown = [n for n in names if n not in SUITES]
     if unknown:
-        raise ValueError(
-            f"unknown suite(s): {', '.join(unknown)}; "
-            f"available: {', '.join(SUITES)}"
-        )
+        raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
+                         f"available: {', '.join(SUITES)}")
     return [SUITES[n](algebra, seed=seed, bs_words=bs_words) for n in names]

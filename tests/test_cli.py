@@ -10,6 +10,7 @@ import pytest
 from heckekit.cli import main
 from heckekit.hecke import HeckeAlgebra
 from heckekit.parabolic import ParabolicModule
+from heckekit.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +109,17 @@ def test_verify_suite_selection(capsys):
     assert code == 0
     names = [line.split("\t")[0] for line in out.strip().splitlines()[1:]]
     assert names == ["pairing", "inversion"]
+
+
+def test_verify_empty_suite_selection(capsys):
+    # a selection of no suite once printed the header alone and exited 0
+    code, out, err = run_cli(capsys, "verify", "--type", "A2", "--suite", ",")
+    assert code == 2
+    assert out == "" and "no suite selected" in err
+    # an empty option still means every suite
+    code, out, _ = run_cli(capsys, "verify", "--type", "A1", "--suite", "")
+    assert code == 0
+    assert [line.split("\t")[0] for line in out.splitlines()[1:]] == list(SUITES)
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -46,6 +46,26 @@ def test_named_type_errors():
             CoxeterMatrix.from_name(name)
 
 
+@pytest.mark.parametrize("name, bonds", [
+    ("E6", [(1, 3), (2, 4), (3, 4), (4, 5), (5, 6)]),
+    ("E7", [(1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7)]),
+    ("E8", [(1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]),
+])
+def test_e_types_follow_bourbaki_numbering(name, bonds):
+    # the bonds labelled 3, Bourbaki's generators 1..n; no group is built
+    n = int(name[1])
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        m[i - 1][j - 1] = m[j - 1][i - 1] = 3
+    assert CoxeterMatrix.from_name(name) == CoxeterMatrix(m)
+
+
+@pytest.mark.parametrize("name", ["E5", "E9"])
+def test_e_types_outside_6_to_8_rejected(name):
+    with pytest.raises(ValueError, match="unknown type name"):
+        CoxeterMatrix.from_name(name)
+
+
 @pytest.mark.parametrize("name", [
     "A\uff13", "A03", "A3\n", "A3 \n", "\tA3", "A+3", "A-3", "A 3", "I2(\uff107)",
     "I2(07)", "I2(+7)", "I2( 7)", "I2(7)\n", "A1xA03", "A0", "A1xxA2", "xA1", "A1x",

@@ -108,6 +108,15 @@ def test_json_pairs_roundtrip():
     assert LaurentPoly.from_pairs(p.to_pairs()) == p
 
 
+def test_non_integers_rejected():
+    # these once built 2.5*v^1 and v^0.5, and int() truncated 2.9 to 2
+    for bad in ({1: 2.5}, {0.5: 1}, {1: "2"}):
+        with pytest.raises(ValueError, match="must be integers"):
+            LaurentPoly(bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        LaurentPoly.from_pairs([[1, 2.9]])
+
+
 def test_no_zero_coefficients_stored():
     p = LaurentPoly({0: 1, 2: 0, 5: -1})
     assert p.support() == (0, 5)

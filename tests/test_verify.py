@@ -32,6 +32,18 @@ def test_unknown_suite_rejected():
         run_suites(H, ["nonsense"])
 
 
+def test_empty_suite_selection_rejected():
+    H = HeckeAlgebra(build_named("A1"))
+    with pytest.raises(ValueError, match="no suite selected"):
+        run_suites(H, [])
+
+
+def test_suite_selection_from_an_iterator():
+    # the unknown-name scan once used up an iterator, so nothing ran
+    H = HeckeAlgebra(build_named("A1"))
+    assert [r.name for r in run_suites(H, iter(["pairing"]))] == ["pairing"]
+
+
 def test_corrupted_kl_cache_fails_inversion():
     # fault injection: warm every table cleanly, then corrupt one cached
     # KL element; re-verification reads the fresh (corrupted)
