@@ -48,6 +48,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
+        exp, coeff = _integer(exp), _integer(coeff)
         p = cls.__new__(cls)
         p._c = {exp: coeff} if coeff else {}
         return p
@@ -315,16 +316,33 @@ def pack(p: LaurentPoly, bits: int = PACK_BITS) -> int:
     Raises ValueError unless p lies in Z[v] with every coefficient of size
     below 2^(bits-1), the range in which `unpack` recovers p.
     """
+    return pack_shifted(p, 0, bits=bits)
+
+
+def pack_shifted(p: LaurentPoly, shift: int, reverse: bool = False,
+                 bits: int = PACK_BITS) -> int:
+    """pack(v^shift * p, bits), or with `reverse` pack(v^shift * bar(p), bits),
+    the digits of p reversed within degree `shift`; neither polynomial is
+    built.  Raises ValueError as `pack` does, for the moved polynomial.
+    """
     half = 1 << (bits - 1)
     n = 0
     for e, k in p._c.items():
+        e = shift - e if reverse else shift + e
         if e < 0:
-            raise ValueError(f"cannot pack ({p}): negative exponent {e}")
+            raise ValueError(f"cannot pack {_moved(p, shift, reverse)}: "
+                             f"negative exponent {e}")
         if not -half < k < half:
-            raise ValueError(f"cannot pack ({p}): coefficient {k} needs more "
-                             f"than {bits} bits")
+            raise ValueError(f"cannot pack {_moved(p, shift, reverse)}: "
+                             f"coefficient {k} needs more than {bits} bits")
         n += k << (bits * e)
     return n
+
+
+def _moved(p: LaurentPoly, shift: int, reverse: bool) -> str:
+    if reverse:
+        return f"v^{shift} * bar({p})"
+    return f"v^{shift} * ({p})" if shift else f"({p})"
 
 
 def unpack(n: int, bits: int = PACK_BITS) -> LaurentPoly:

@@ -13,6 +13,7 @@ from heckekit.laurent import (
     dot,
     lincomb,
     pack,
+    pack_shifted,
     unpack,
     vpow,
 )
@@ -115,6 +116,18 @@ def test_non_integers_rejected():
             LaurentPoly(bad)
     with pytest.raises(ValueError, match="must be integers"):
         LaurentPoly.from_pairs([[1, 2.9]])
+
+
+def test_monomial_const_and_vpow_reject_non_integers():
+    # these once printed 1*v^0.5, 2.5*v^1 and 1.5*v^0
+    for build in (lambda: vpow(0.5), lambda: vpow(1, 2.5),
+                  lambda: LaurentPoly.monomial(1, 2.5),
+                  lambda: LaurentPoly.monomial("1"), lambda: LaurentPoly.const(1.5)):
+        with pytest.raises(ValueError, match="must be integers"):
+            build()
+    # integer types that are not int are read as ints
+    assert vpow(True, True) == V
+    assert LaurentPoly.const(0) == ZERO and not LaurentPoly.monomial(3, 0)._c
 
 
 def test_no_zero_coefficients_stored():
@@ -285,3 +298,32 @@ def test_pack_rejects_negative_exponent_and_oversized_coefficient():
             pack(LaurentPoly({2: k}))
     with pytest.raises(ValueError, match="coefficient 8 needs more than 4 bits"):
         pack(vpow(1, 8), 4)
+
+
+@given(packable, st.integers(0, 8))
+def test_pack_shifted_round_trip(p, shift):
+    assert unpack(pack_shifted(p, shift)) == vpow(shift) * p
+    assert pack_shifted(p, shift) == pack(p) << (PACK_BITS * shift)
+    assert pack_shifted(p, 0) == pack(p)
+
+
+@given(packable, st.integers(8, 16))
+def test_pack_shifted_reversal_is_bar_within_degree(p, d):
+    # every exponent of p is at most 8, so v^d bar(p) lies in Z[v]
+    n = pack_shifted(p, d, reverse=True)
+    assert n == pack(vpow(d) * p.bar())
+    assert unpack(n) == vpow(d) * p.bar()
+
+
+def test_pack_shifted_rejects_negative_exponent_and_oversized_coefficient():
+    with pytest.raises(ValueError, match=r"v\^1 \* \(1\*v\^-2\): negative exponent -1"):
+        pack_shifted(vpow(-2), 1)
+    # reversal within degree 2 sends v^3 to v^-1
+    with pytest.raises(ValueError, match=r"v\^2 \* bar\(1\*v\^3\): negative exponent -1"):
+        pack_shifted(vpow(3), 2, reverse=True)
+    assert pack_shifted(vpow(-2), 2) == 1 == pack_shifted(vpow(2), 2, reverse=True)
+    for k in (HALF, -HALF):
+        with pytest.raises(ValueError, match=f"coefficient {k} needs more than 64 bits"):
+            pack_shifted(LaurentPoly({1: k}), 3, reverse=True)
+    with pytest.raises(ValueError, match="coefficient 8 needs more than 4 bits"):
+        pack_shifted(vpow(1, 8), 2, bits=4)

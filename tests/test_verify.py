@@ -1,7 +1,7 @@
 import pytest
 
-from heckekit import HeckeAlgebra, build_named, run_suites
-from heckekit.laurent import LaurentPoly
+from heckekit import HeckeAlgebra, build_named, run_suites, verify
+from heckekit.laurent import ONE, V, LaurentPoly, lincomb, unpack
 from heckekit.verify import SUITES, SuiteResult
 
 
@@ -146,6 +146,26 @@ def _corrupt_kl(H, _subset, _x, _z, _top, mid, y):
     mid, y = sys.parse_element(mid), sys.parse_element(y)
     terms = dict(H.kl_basis(mid).terms)
     terms[y] = terms[y] + LaurentPoly({-1: 1})
+    H._kl[mid] = terms
+
+
+def _unpackable_pkl(H, subset, x, _z, top, *_):
+    # v^-1 in an entry of M, which then does not pack
+    sys, mod = H.system, H.parabolic(subset)
+    x, top = sys.parse_element(x), sys.parse_element(top)
+    terms = dict(mod.kl_basis(top).terms)
+    terms[x] = terms[x] + LaurentPoly({-1: 1})
+    mod._pkl[top] = terms
+
+
+def _oversized_kl(H, _subset, _x, _z, _top, mid, y):
+    # the top coefficient of h_{y,mid} set to 2^63, which needs 65 bits
+    sys = H.system
+    mid, y = sys.parse_element(mid), sys.parse_element(y)
+    terms = dict(H.kl_basis(mid).terms)
+    coeffs = dict(terms[y].items())
+    coeffs[max(coeffs)] = 1 << 63
+    terms[y] = LaurentPoly(coeffs)
     H._kl[mid] = terms
 
 
@@ -334,6 +354,30 @@ PINNED_FAULTS = {
             "eps(a(H[s1]) H[s2.s1]) = 0, (H[s1], H[s2.s1]) = 1*v^1",
         ]),
     ]),
+    "A3-pkl-unpackable": ("A3", _unpackable_pkl, [
+        ("inversion", 2154, 3, [
+            "I={s1} inversion fails at x=e, z=s1.s2.s1.s3.s2",
+            "I={s1} inversion fails at x=s2, z=s1.s2.s1.s3.s2",
+            "I={s1} transposed inversion fails at x=s1.s2.s1.s3.s2, z=s2",
+        ]),
+    ]),
+    "B3-pkl-unpackable": ("B3", _unpackable_pkl, [
+        ("inversion", 8554, 3, [
+            "I={s2, s3} inversion fails at x=e, z=s1.s2.s3.s2.s1",
+            "I={s2, s3} inversion fails at x=s1, z=s1.s2.s3.s2.s1",
+            "I={s2, s3} transposed inversion fails at x=s1.s2.s3.s2.s1, z=s1",
+        ]),
+    ]),
+    "A3-bar-oversized": ("A3", _oversized_kl, [
+        ("bar-invariance", 237, 1, [
+            "KL[s2.s1.s3] is not bar-invariant",
+        ]),
+    ]),
+    "B3-bar-oversized": ("B3", _oversized_kl, [
+        ("bar-invariance", 895, 1, [
+            "KL[s1.s2.s1.s3.s2] is not bar-invariant",
+        ]),
+    ]),
 }
 
 
@@ -342,3 +386,74 @@ def test_pinned_fault(case):
     name, corrupt, expected = PINNED_FAULTS[case]
     suites = [suite for suite, *_ in expected]
     assert _faulted(name, suites, corrupt) == [tuple(rest) for _, *rest in expected]
+
+
+# The fast units of inversion and bar-invariance compare packed ints; a
+# unit that fails there, does not pack or breaks the coefficient bound
+# replays through lincomb (twice per inversion unit) or HeckeAlgebra.bar.
+
+def _count_replays(monkeypatch):
+    calls = {"lincomb": 0, "bar": 0}
+    bar = HeckeAlgebra.bar
+
+    def counted_lincomb(pairs):
+        calls["lincomb"] += 1
+        return lincomb(pairs)
+
+    def counted_bar(self, h):
+        calls["bar"] += 1
+        return bar(self, h)
+
+    monkeypatch.setattr(verify, "lincomb", counted_lincomb)
+    monkeypatch.setattr(HeckeAlgebra, "bar", counted_bar)
+    return calls
+
+
+def _unpackable(*args, **kwargs):
+    raise ValueError("forced replay")
+
+
+@pytest.mark.parametrize("force", [
+    lambda mp: mp.setattr(verify, "pack_shifted", _unpackable),
+    # every unit then breaks the bound: top^2 * terms * (degree + 1) >= 1
+    lambda mp: mp.setattr(verify, "PACK_BITS", 1),
+], ids=["unpackable", "bound"])
+@pytest.mark.parametrize("name", ["A3", "B3", "D4"])
+def test_replayed_units_agree_with_packed_units(name, force, monkeypatch):
+    suites = ["inversion", "bar-invariance"]
+    calls = _count_replays(monkeypatch)
+    packed = run_suites(HeckeAlgebra(build_named(name)), suites)
+    assert all(r.passed for r in packed)
+    assert calls == {"lincomb": 0, "bar": 0}
+    force(monkeypatch)
+    H = HeckeAlgebra(build_named(name))
+    assert run_suites(H, suites) == packed
+    units = sum(len(H.parabolic(subset).reps) for subset, _ in verify._subsets(H))
+    assert calls == {"lincomb": 2 * units, "bar": H.system.size}
+
+
+def test_bound_guard_rejects_a_colliding_sum():
+    # 1 + 2^32 * 2^32 - v is not 1, but its packed int 1 + 2^64 - 2^64 is
+    pk = verify._Packer()
+    big = LaurentPoly.const(1 << 32)
+    coeffs = {0: ONE, 1: big, 2: -ONE}
+    table = {0: {0: pk(ONE)}, 1: {0: pk(big)}, 2: {0: pk(V)}}
+    assert sum(pk(c) * table[y][0] for y, c in coeffs.items()) == 1
+    polys = {0: {0: ONE}, 1: {0: big}, 2: {0: V}}
+    assert lincomb((c, polys[y]) for y, c in coeffs.items()) != {0: ONE}
+    assert not verify._packed_delta(pk, [0, 0, 0], 0, coeffs, table)
+    # a sum of small operands that is {x: 1} passes
+    small = verify._Packer()
+    table = {0: {0: small(ONE)}}
+    assert verify._packed_delta(small, [0], 0, {0: ONE}, table)
+
+
+@pytest.mark.parametrize("t, exact", [((1 << 30) + 1, False), (1 << 29, True)])
+def test_bound_guard_counts_the_pairs_behind_a_coefficient(t, exact):
+    # the v^7 coefficient of a * a adds 8 = degree + 1 products t * t,
+    # which leaves the packing range although t * t does not
+    pk = verify._Packer()
+    a = LaurentPoly({e: t for e in range(8)})
+    n = pk(a)
+    assert pk.exact(1) == exact
+    assert (unpack(n * n) == a * a) == exact
