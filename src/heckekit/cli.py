@@ -93,8 +93,9 @@ def _print_table(system: CoxeterSystem, elements, fmt: str, head: dict,
 
     Each column is written as one joined string.  A table repeats few
     words and few distinct polynomials many times, so each word, the
-    part of a row shared by a column, and the text of each distinct
-    polynomial, with its row end, are rendered once."""
+    part of a row shared by a column, and the text of each polynomial
+    object, with its row end, are rendered once; the KL tables intern
+    their values, so that is once per distinct polynomial."""
     name = {w: system.word_str(w) for w in elements}
     if fmt == "json":
         ka, kb, kp = (f"      {json.dumps(k)}: " for k in keys)
@@ -114,7 +115,9 @@ def _print_table(system: CoxeterSystem, elements, fmt: str, head: dict,
 
         def render(p):
             return f"{p}\n"
-    texts: dict = {}
+    # keyed by id: the columns keep every value alive, so no id is reused,
+    # and equal values render alike
+    texts: dict[int, str] = {}
     write = sys.stdout.write
     write(opening)
     for b, col in columns:
@@ -124,9 +127,9 @@ def _print_table(system: CoxeterSystem, elements, fmt: str, head: dict,
         for a in sorted(col):
             p = col[a]
             try:
-                text = texts[p]
+                text = texts[id(p)]
             except KeyError:
-                text = texts[p] = render(p)
+                text = texts[id(p)] = render(p)
             add(first[a])
             add(mid)
             add(text)

@@ -27,7 +27,11 @@ descent of x, then h_{w,x} = v h_{sw,x} for every w with sw > w.  So a
 `KLTable` computes only the coefficients at the s-descents w and reads
 the rest off by a shift of v.  One table holds the KL basis of H; each
 parabolic module with I != {} holds two more over W^I (parabolic.py),
-and H is the case W^I = W.
+and H is the case W^I = W.  In H alone, the anti-involution
+a: H_w -> H_{w^-1} commutes with bar and keeps the degree bound, so
+a(KL_x) = KL_{x^-1}, that is h_{y,x} = h_{y^-1,x^-1} (ibid.): H's table
+runs the recursion only for x <= x^-1 and reads the other KL_x off
+KL_{x^-1}.  W^I has no inversion, so the module tables run it for all.
 
 Off the diagonal every h there lies in vZ[v], so the recursion holds each
 coefficient as the one int n = p(2^K), K = `PACK_BITS` (Kronecker
@@ -202,7 +206,11 @@ class KLTable(dict):
     over z < sx with sz < z, or sz = z in the spherical module.
     `left[w][s]` is sw, or w where sw is not in W^I, and there
     KL_s P_w = (v + v^-1) P_w in M (`spherical`) and 0 in N (never in H).
-    The table reads W only through `lengths`, first letters and `word_str`.
+    The table reads W only through `lengths`, first letters and `word_str`,
+    and, in H only, the inverse map `inv`: an x with inv[x] < x is not
+    computed by the recursion but read off KL_{x^-1} as
+    {inv[w]: h_{w,x^-1}}, the same interned values under inverted keys,
+    so each x still comes by one route, decided by index.
 
     By the descent identity h_{w,u} = v h_{sw,u} for sw > w (Kazhdan-Lusztig
     1979, P_{y,w} = P_{sy,w}), only the coefficients at w with sw <= w
@@ -218,17 +226,23 @@ class KLTable(dict):
     """
 
     def __init__(self, system: CoxeterSystem, left, spherical: bool,
-                 packing: Packing):
+                 packing: Packing, inv=None):
         super().__init__()
         self.system = system
         self.left = left
         self.spherical = spherical
         self.packing = packing
+        self.inv = inv
 
     def __missing__(self, x: int) -> dict[int, LaurentPoly]:
         pk = self.packing
         if x == 0:
             terms = self[0] = {0: pk.poly(1)}
+            return terms
+        inv = self.inv
+        if inv is not None and inv[x] < x:
+            # h_{w,x} = h_{w^-1,x^-1}
+            terms = self[x] = {inv[w]: p for w, p in self[inv[x]].items()}
             return terms
         K = PACK_BITS
         mask = (1 << K) - 1
@@ -308,17 +322,19 @@ class KLTable(dict):
 class HeckeAlgebra:
     """Hecke algebra attached to a CoxeterSystem.
 
-    Keeps per-system memo tables: bar of standard basis elements, the
-    KL table `_kl`, the parabolic modules, and the `Packing` that the KL
-    tables of H and of its modules share.  Queries are pure in (system,
-    arguments).
+    Keeps per-system memo tables: bar of standard basis elements, its
+    few distinct values interned in `_bar_polys`, the KL table `_kl`,
+    the parabolic modules, and the `Packing` that the KL tables of H and
+    of its modules share.  Queries are pure in (system, arguments).
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._bar_basis: dict[int, dict[int, LaurentPoly]] = {0: {0: ONE}}
+        self._bar_polys: dict[LaurentPoly, LaurentPoly] = {ONE: ONE}
         self._packing = Packing()
-        self._kl = KLTable(system, system._left, False, self._packing)
+        self._kl = KLTable(system, system._left, False, self._packing,
+                           system._inv)
         self._parabolic: dict[frozenset[int], object] = {}
 
     # -- constructors -------------------------------------------------------
@@ -401,8 +417,11 @@ class HeckeAlgebra:
             sys = self.system
             s = sys.words[w][0]
             rest = self._bar_of_basis(sys._left[w][s])
-            out = self._bar_basis[w] = self._gen_terms(rest, s, sys._left,
-                                                       ZERO, _V_MINUS_VINV)
+            # few distinct values over many entries: one object for each
+            polys = self._bar_polys
+            out = self._bar_basis[w] = {
+                u: polys.setdefault(p, p) for u, p in
+                self._gen_terms(rest, s, sys._left, ZERO, _V_MINUS_VINV).items()}
         return out
 
     def bar(self, h: HeckeElt) -> HeckeElt:

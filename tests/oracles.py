@@ -7,17 +7,19 @@ property, basis decompositions by a standalone back-substitution, the
 bilinear pairing by multiplying out eps(a(h1) h2), Bott-Samelson
 characters by products in H instead of in the parabolic module, the
 KL basis by whole-element generator products instead of the library's
-half-table descent recursion, the parabolic KL basis and the inverse
-parabolic KL rows through the full Hecke algebra instead of the
-recursions over W^I in the two parabolic modules, and the bar involution
-and the expansion of characters by one polynomial product and sum per
-term instead of the library's sparse exponent-map products, and the
-positive Rouquier shapes by a Bruhat scan of W^I with one g_{y,x} per
-pair instead of the library's one column of g.
+half-table descent recursion, the KL table of H by that recursion run
+for every x instead of reading KL_x off KL_{x^-1}, the parabolic KL
+basis and the inverse parabolic KL rows through the full Hecke algebra
+instead of the recursions over W^I in the two parabolic modules, and
+the bar involution and the expansion of characters by one polynomial
+product and sum per term instead of the library's sparse exponent-map
+products, and the positive Rouquier shapes by a Bruhat scan of W^I with
+one g_{y,x} per pair instead of the library's one column of g.
 """
 
 import functools
 
+from heckekit.hecke import KLTable, Packing
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 from heckekit.rouquier import ComplexShape
 
@@ -50,6 +52,14 @@ def bar_solve_kl(algebra, x):
         if positive:
             p[z] = positive
     return p
+
+
+def kl_table_by_recursion(algebra):
+    """The KL table of H with the mu-recursion run for every x, where the
+    library reads KL_x off KL_{x^-1} for x^-1 < x: a `KLTable` over W
+    without the inverse map, with a packing of its own."""
+    sys = algebra.system
+    return KLTable(sys, sys._left, False, Packing())
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from heckekit import HeckeAlgebra, build_named, delta_char, hecke
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 
-from oracles import bar_solve_kl, bar_via_acc, kl_basis_via_gen_mult, trace_pairing
+from oracles import (bar_solve_kl, bar_via_acc, kl_basis_via_gen_mult,
+                     kl_table_by_recursion, trace_pairing)
 
 CROSS_ROUTE_TYPES = ["A1xA1", "A2", "B2", "A3", "B3", "I2(5)", "I2(7)"]
 
@@ -178,6 +179,15 @@ def test_bar_matches_acc_route(alg_of, name):
         assert H.bar(H.elt(H._bar_of_basis(w))).terms == {w: ONE}
     for x in range(H.system.size):
         assert (H.bar(H.kl_basis(x)) - H.kl_basis(x)).terms == {}
+
+
+def test_bar_basis_values_are_interned():
+    H = HeckeAlgebra(build_named("B3"))
+    seen = {}
+    for w in range(H.system.size):
+        for p in H._bar_of_basis(w).values():
+            assert seen.setdefault(p, p) is p
+    assert sorted(map(id, H._bar_polys.values())) == sorted(map(id, seen.values()))
 
 
 def test_bar_multiplicative_random(alg_of):
@@ -407,6 +417,59 @@ def test_kl_table_independent_of_fill_order():
         assert frozen(up, x) == snap
 
 
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("name", ["A1", "A3", "B3", "D4", "F4", "I2(5)", "I2(8)",
+                                  "A1xB3", "G2xA2"])
+def test_kl_table_read_off_inverses_matches_plain_recursion(name, descending):
+    # descending, each x with x^-1 < x is looked up first and runs the
+    # recursion of x^-1 on demand
+    H = HeckeAlgebra(build_named(name))
+    W = H.system
+    inv = W._inv
+    plain = kl_table_by_recursion(H)
+    order = range(W.size)
+    for x in (reversed(order) if descending else order):
+        assert H._kl[x] == plain[x], W.word_str(x)
+    for x in order:
+        for w, p in H._kl[x].items():
+            assert H._kl[inv[x]][inv[w]] is p
+
+
+class _Recording(tuple):
+    """A tuple that records the indices it is read at."""
+
+    def __new__(cls, items, seen):
+        out = super().__new__(cls, items)
+        out.seen = seen
+        return out
+
+    def __getitem__(self, i):
+        self.seen.add(i)
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "G2xA2"])
+def test_kl_recursion_runs_once_per_inverse_pair(name):
+    # the recursion reads the first letter of x, the remap does not
+    W = build_named(name)
+    H = HeckeAlgebra(W)
+    modules = [H.parabolic([s]) for s in range(W.rank)]
+    seen = set()
+    W.words = _Recording(W.words, seen)
+    for x in range(W.size):
+        H.kl_basis(x)
+    assert seen == {x for x in range(1, W.size) if W._inv[x] >= x}
+    for M in modules:
+        seen.clear()
+        for x in M.reps:
+            M.kl_basis(x)
+        assert seen == set(M.reps[1:])
+        seen.clear()
+        for x in M.reps:
+            M.inverse_row(x)
+        assert seen == set(M.reps[1:])
+
+
 def test_kl_coefficients_are_interned():
     H = HeckeAlgebra(build_named("B3"))
     W = H.system
@@ -444,11 +507,12 @@ def test_packing_width_does_not_change_the_table(monkeypatch, alg_of):
     assert [H.kl_basis(x).terms for x in range(H.system.size)] == table
 
 
-def _corrupt_descent_entry(H, bad):
+def _corrupt_descent_entry(H, bad, among=None):
     """Replace h_{w,y} in the cached KL_y by bad(h_{w,y}) at some w != y
-    with sw < w, s the first letter of x = sy > y; return x."""
+    with sw < w, s the first letter of x = sy > y, x the first of `among`
+    (default all of W but e) with such a w; return x."""
     W = H.system
-    for x in range(1, W.size):
+    for x in among or range(1, W.size):
         s = W.words[x][0]
         y = W._left[x][s]
         terms = H.kl_basis(y).terms
@@ -470,6 +534,21 @@ def test_corrupted_cached_coefficient_raises_when_read(bad, message):
     with pytest.raises(ValueError, match=message):
         H.kl_basis(x)
     assert x not in H._kl
+
+
+def test_corrupted_coefficient_read_by_the_inverse_raises_for_both():
+    # x is read off x^-1 < x, so the fault in the recursion of x^-1
+    # raises for x, and neither element is stored
+    H = HeckeAlgebra(build_named("B3"))
+    inv = H.system._inv
+    xi = _corrupt_descent_entry(H, lambda p: p + 1,
+                                [x for x in range(1, H.system.size) if inv[x] > x])
+    x = inv[xi]
+    assert xi < x
+    with pytest.raises(ValueError, match="has a constant term"):
+        H.kl_basis(x)
+    assert x not in H._kl
+    assert xi not in H._kl
 
 
 def test_corrupted_fixed_entry_of_spherical_module_raises():
