@@ -30,7 +30,7 @@ import operator
 import re
 from typing import Iterable, Sequence
 
-from .laurent import LaurentPoly, vpow
+from .laurent import LaurentPoly
 
 DEFAULT_CAP = 50_000
 

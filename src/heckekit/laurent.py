@@ -100,11 +100,13 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
-        # values are immutable, so the hash is computed once and kept
+        # values are immutable, so the hash is computed once and kept; a
+        # constant hashes as its int, which it equals
         try:
             return self._h
         except AttributeError:
-            h = self._h = hash(frozenset(self._c.items()))
+            c = self._c
+            h = self._h = hash(c.get(0, 0) if c.keys() <= {0} else frozenset(c.items()))
             return h
 
     # -- ring operations -------------------------------------------------

@@ -56,18 +56,18 @@ class ParabolicModule:
         self.reps = sys.min_reps(self.subset)
         self._rep_set = frozenset(self.reps)
         self._wi_elems = sys.subgroup(self.subset)
-        # KL_s on W^I for the recursion: sw, or w where sw is not in W^I
-        self._left = {w: tuple(sw if sw in self._rep_set else w for sw in sys._left[w])
-                      for w in self.reps}
         # r -> w0 r w_I, an order-reversing involution of W^I
         self._opposite = {r: sys.mult(sys.mult(sys.longest, r), self.w_long)
                           for r in self.reps}
-        # memo tables: the KL tables of M and N (both H's for I = {}), inverse rows
+        # KL_s and the KL tables of M and N, N's the one store of g: H's for I = {}
+        self._left = sys._left
         self._pkl = self._nkl = algebra._kl
         if self.subset:
+            # KL_s on W^I for the recursion: sw, or w where sw is not in W^I
+            self._left = {w: tuple(sw if sw in self._rep_set else w
+                                   for sw in sys._left[w]) for w in self.reps}
             self._pkl = KLTable(sys, self._left, True, algebra._packing)
             self._nkl = KLTable(sys, self._left, False, algebra._packing)
-        self._rows: dict[int, dict[int, LaurentPoly]] = {}
 
     def poincare(self) -> LaurentPoly:
         return self.system.poincare(self.subset)
@@ -158,35 +158,30 @@ class ParabolicModule:
     # -- inverse parabolic KL polynomials ----------------------------------------------
 
     def inverse_row(self, x: int) -> dict[int, LaurentPoly]:
-        """{z: g_{x,z}} for all z >= x in W^I, zero values included.
-
-        The row is the KL element of m = w0 x w_I in N (KL_m in H for
-        I = {}) reindexed by r -> w0 r w_I.  Its keys are the positions
-        the recursion reaches, [e, m] in W^I, and the reindexing reverses
-        the Bruhat order, so they are the upper interval of x.  The rows
-        are the one memo of g; `inverse_col` reads its columns from them.
-        """
-        row = self._rows.get(x)
-        if row is None:
-            self._check_rep(x)
-            opposite = self._opposite
-            row = self._rows[x] = {opposite[r]: g
-                                   for r, g in self._nkl[opposite[x]].items()}
-        return row
+        """{z: g_{x,z}} for all z >= x in W^I, zero values included, in a
+        fresh dict: the KL element of m = w0 x w_I in N (KL_m in H for
+        I = {}) reindexed by r -> w0 r w_I.  Its keys are [e, m] in W^I,
+        and the reindexing reverses the Bruhat order, so they are the upper
+        interval of x."""
+        self._check_rep(x)
+        opposite = self._opposite
+        return {opposite[r]: g for r, g in self._nkl[opposite[x]].items()}
 
     def inverse_col(self, z: int) -> dict[int, LaurentPoly]:
         """{x: g_{x,z}} for all x <= z in W^I, x ascending, zero values
-        included: a view of the rows with no memo of its own, keyed by the
-        KL element of z in N, whose keys are [e, z] in W^I."""
+        included: over the keys x of the KL element of z in N, [e, z] in
+        W^I, the w0 z w_I entry of the KL element of w0 x w_I in N."""
         self._check_rep(z)
-        return {x: self.inverse_row(x)[z] for x in sorted(self._nkl[z])}
+        nkl, opposite = self._nkl, self._opposite
+        return {x: nkl[opposite[x]][opposite[z]] for x in sorted(nkl[z])}
 
     def inverse_kl(self, x: int, z: int) -> LaurentPoly:
-        """g_{x,z} by KL duality: the z entry of `inverse_row(x)`, so 0
-        unless x <= z, and g_{x,x} = 1."""
-        row = self.inverse_row(x)
+        """g_{x,z} by KL duality: the entry at w0 z w_I of the KL element
+        of w0 x w_I in N, so 0 unless x <= z, and g_{x,x} = 1."""
+        self._check_rep(x)
+        col = self._nkl[self._opposite[x]]
         self._check_rep(z)
-        return row.get(z, ZERO)
+        return col.get(self._opposite[z], ZERO)
 
     # -- Hom pairings over W^I ----------------------------------------------------
 

@@ -187,7 +187,7 @@ TABLE_FAULTS = [
     # (command, class, method, the argument of its last call in the command)
     ("kl-table", HeckeAlgebra, "kl_basis", lambda obj: obj.system.size - 1),
     ("parabolic-tables", ParabolicModule, "kl_basis", lambda obj: obj.reps[-1]),
-    ("inverse-tables", ParabolicModule, "inverse_row", lambda obj: obj.reps[-1]),
+    ("inverse-tables", ParabolicModule, "inverse_col", lambda obj: obj.reps[-1]),
 ]
 
 

@@ -571,7 +571,7 @@ def test_corrupted_fixed_entry_of_spherical_module_raises():
 
 def test_corrupted_entry_of_antispherical_module_raises():
     # the same guard in N, reached through inverse_row: a failed lookup
-    # stores neither the KL element of m nor the row of its opposite
+    # stores no KL element of m, so every read of g through it raises again
     H = HeckeAlgebra(build_named("B3"))
     W = H.system
     M = H.parabolic([0])
@@ -586,8 +586,10 @@ def test_corrupted_entry_of_antispherical_module_raises():
     x = M._opposite[m]
     with pytest.raises(ValueError, match="has a constant term"):
         M.inverse_row(x)
+    for read in (M.inverse_row, M.inverse_col, lambda x: M.inverse_kl(x, x)):
+        with pytest.raises(ValueError, match="has a constant term"):
+            read(x)
     assert m not in M._nkl
-    assert x not in M._rows
 
 
 def test_kl_basis_rejects_bad_index_and_caches_none():

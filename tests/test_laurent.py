@@ -232,6 +232,19 @@ def test_equal_polys_hash_equally(p):
     assert hash(p.bar()) == hash(LaurentPoly({-e: k for e, k in p.items()}))
 
 
+def test_constants_hash_as_the_ints_they_equal():
+    # p == k for an int k, so hash(p) must be hash(k), or a dict or set
+    # keyed by one misses the other
+    for k, p in [(0, ZERO), (1, ONE), (-1, LaurentPoly.const(-1)),
+                 (-1, LaurentPoly({0: -1, 2: 0}))]:
+        assert p == k and hash(p) == hash(k)
+        assert k in {p} and p in {k}
+        assert {p: "a"}.get(k) == "a" and {k: "a"}.get(p) == "a"
+    for p in [V, V_INV, ONE + V, LaurentPoly({0: 1, 2: -1}), vpow(-3)]:
+        assert p not in {0, 1, -1}
+        assert hash(p) == hash(LaurentPoly(dict(p.items())))
+
+
 term_maps = st.dictionaries(st.integers(0, 5), polys, max_size=4)
 
 

@@ -379,6 +379,24 @@ def test_inverse_row_keeps_zero_entries(alg_of, name, zeros):
     assert found == zeros
 
 
+def test_inverse_maps_are_fresh_copies(sys_of):
+    # N's table is the one store of g: mutating a row or column that a
+    # caller was given changes no later read of g
+    H = HeckeAlgebra(sys_of("D4"))
+    for subset in _all_subsets(H.system.rank):
+        M = H.parabolic(subset)
+        rows = {x: dict(M.inverse_row(x)) for x in M.reps}
+        cols = {z: dict(M.inverse_col(z)) for z in M.reps}
+        for w in M.reps:
+            M.inverse_row(w)[w] = V
+            M.inverse_col(w)[w] = V
+        for w in M.reps:
+            assert M.inverse_row(w) == rows[w], (subset, w)
+            assert M.inverse_col(w) == cols[w], (subset, w)
+            for z, g in rows[w].items():
+                assert M.inverse_kl(w, z) == g, (subset, w, z)
+
+
 def test_inverse_kl_rejects_non_reps(alg_of):
     H = alg_of("A3")
     M = H.parabolic([0])

@@ -44,24 +44,36 @@ def test_suite_selection_from_an_iterator():
     assert [r.name for r in run_suites(H, iter(["pairing"]))] == ["pairing"]
 
 
+def _corrupt_top_kl(H, y):
+    top = H.system.longest
+    corrupted = dict(H.kl_basis(top).terms)
+    corrupted[y] = corrupted[y] + LaurentPoly({3: 1})
+    H._kl[top] = corrupted
+
+
 def test_corrupted_kl_cache_fails_inversion():
     # fault injection: warm every table cleanly, then corrupt one cached
-    # KL element; re-verification reads the fresh (corrupted)
-    # coefficients against the clean cached inverse table and must
-    # report a counterexample rather than pass
+    # KL element of H; re-verification reads the corrupted coefficient
+    # and must report a counterexample rather than pass.  For I = {} the
+    # table of H is also the one store of g (g_{x,z} = h_{w0 z, w0 x}),
+    # so the fault enters both factors of the inversion sums.
     H = HeckeAlgebra(build_named("A2"))
     clean = run_suites(H, ["inversion"])
     assert clean[0].passed
-
-    top = H.system.longest
-    kl = H.kl_basis(top)
-    corrupted = dict(kl.terms)
-    corrupted[0] = corrupted[0] + LaurentPoly({3: 1})
-    H._kl[top] = corrupted
-
+    _corrupt_top_kl(H, H.system.parse_element("s1"))
     results = run_suites(H, ["inversion"])
     assert not results[0].passed
     assert results[0].first_failure is not None
+
+    # the corner: h_{e,w0} is also g_{e,w0} and enters the one inversion
+    # sum that holds it, x = e and z = w0, twice with opposite signs, as
+    # l(w0) is odd; inversion misses this fault on A2 and B3 whether it
+    # is made before or after a warm run, so bar-invariance must catch it
+    H = HeckeAlgebra(build_named("A2"))
+    assert all(r.passed for r in run_suites(H, ["inversion", "bar-invariance"]))
+    _corrupt_top_kl(H, 0)
+    results = run_suites(H, ["inversion", "bar-invariance"])
+    assert not all(r.passed for r in results)
 
 
 def test_corrupted_kl_cache_fails_bar_invariance():
@@ -118,11 +130,17 @@ def _faulted(name, suites, corrupt):
 
 
 def _corrupt_inverse_row(H, subset, x, z, *_):
+    # g_{x,z} is the w0 z w_I entry of the KL element of w0 x w_I in N;
+    # every column of N is filled first, so no recursion reads the fault
+    # (for I = {} N's table is H's, and the fault would change h too)
     sys, mod = H.system, H.parabolic(subset)
     x, z = sys.parse_element(x), sys.parse_element(z)
-    row = dict(mod.inverse_row(x))
-    row[z] = row[z] + LaurentPoly({1: -2, 2: 1})
-    mod._rows[x] = row
+    for r in mod.reps:
+        mod._nkl[r]
+    m, n = mod._opposite[x], mod._opposite[z]
+    col = dict(mod._nkl[m])
+    col[n] = col[n] + LaurentPoly({1: -2, 2: 1})
+    mod._nkl[m] = col
 
 
 def _corrupt_pkl(H, subset, x, _z, top, *_):
