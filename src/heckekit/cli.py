@@ -20,10 +20,6 @@ from .hecke import HeckeAlgebra
 from .parabolic import ParabolicModule
 
 
-class InputError(ValueError):
-    pass
-
-
 def _add_common(parser: argparse.ArgumentParser, subset: bool = True) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--type", help='named type, e.g. "A3", "B3", "I2(7)", "A1xA1"')
@@ -41,15 +37,15 @@ def _load_system(args) -> tuple[CoxeterSystem, str]:
         try:
             matrix = CoxeterMatrix.from_file(args.matrix)
         except OSError as exc:
-            raise InputError(str(exc)) from None
+            raise ValueError(str(exc)) from None
         label = f"matrix:{args.matrix}"
     elif args.type:
         matrix = CoxeterMatrix.from_name(args.type)
         label = args.type
     else:
-        raise InputError("one of --type or --matrix is required")
+        raise ValueError("one of --type or --matrix is required")
     if args.cap < 1:
-        raise InputError("--cap must be positive")
+        raise ValueError("--cap must be positive")
     return coxeter.build(matrix, cap=args.cap), label
 
 
@@ -57,21 +53,15 @@ def _load_module(args) -> tuple[ParabolicModule, str]:
     """The module of --subset over the system of `_load_system`, and its label."""
     system, label = _load_system(args)
     tokens = args.subset.split(",") if args.subset.strip() else []
-    try:
-        subset = [system.gen_index(tok.strip()) for tok in tokens]
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    subset = [system.gen_index(tok.strip()) for tok in tokens]
     return HeckeAlgebra(system).parabolic(subset), label
 
 
 def _parse_rep(module, text: str) -> int:
     system = module.system
-    try:
-        w = system.parse_element(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    w = system.parse_element(text)
     if not system.is_min_coset_rep(w, module.subset):
-        raise InputError(
+        raise ValueError(
             f"{system.word_str(w)} is not a minimal coset representative "
             f"for the chosen subset"
         )
@@ -233,11 +223,8 @@ def cmd_verify(args) -> int:
     names = None
     if args.suite:
         names = [n.strip() for n in args.suite.split(",") if n.strip()]
-    try:
-        results = verify.run_suites(algebra, names, seed=args.seed,
-                                    bs_words=args.words)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    results = verify.run_suites(algebra, names, seed=args.seed,
+                                bs_words=args.words)
     if args.format == "json":
         _print_json({
             "system": label,
@@ -328,7 +315,7 @@ def main(argv=None) -> int:
         # would raise again (the SIGPIPE note of Python's `signal` docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    # InputError, UnsupportedBond and NotInIdeal are ValueErrors
+    # input errors, UnsupportedBond and NotInIdeal are ValueErrors
     except (ValueError, GroupTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

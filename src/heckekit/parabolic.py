@@ -69,9 +69,6 @@ class ParabolicModule:
             self._pkl = KLTable(sys, self._left, True, algebra._packing)
             self._nkl = KLTable(sys, self._left, False, algebra._packing)
 
-    def poincare(self) -> LaurentPoly:
-        return self.system.poincare(self.subset)
-
     def subset_labels(self) -> list[str]:
         return [self.system.gen_label(s) for s in sorted(self.subset)]
 

@@ -88,32 +88,24 @@ def _nonzero(values: dict) -> dict:
 class _Packer(dict):
     """The operands of one suite's fast units as packed ints: maps (p,
     shift, reverse) to `pack_shifted(p, shift, reverse)`, packed once per
-    value.  `top` and `degree` are the largest coefficient size and
-    exponent of every value packed."""
+    value (F4 has 3,172 distinct values among the 396,809 entries of
+    v^l(w) bar(H_w)).  `top` and `degree` are the largest coefficient size
+    and exponent of every value packed."""
 
     def __init__(self):
         super().__init__()
-        self._ints: dict[int, int] = {}
         self.top = self.degree = 0
 
     def __call__(self, p: LaurentPoly, shift: int = 0, reverse: bool = False) -> int:
         key = (p, shift, reverse)
         n = self.get(key)
         if n is None:
-            n = self[key] = self.pack(p, shift, reverse)
-        return n
-
-    def pack(self, p: LaurentPoly, shift: int = 0, reverse: bool = False) -> int:
-        """`pack_shifted` with no memo, for a value packed once; equal ints
-        are shared (F4 has 3,172 distinct values among the 396,809 entries
-        of v^l(w) bar(H_w))."""
-        n = pack_shifted(p, shift, reverse)
-        n = self._ints.setdefault(n, n)
-        c = p._c
-        if c:
-            self.top = max(self.top, *map(abs, c.values()))
-            self.degree = max(self.degree,
-                              shift - min(c) if reverse else shift + max(c))
+            n = self[key] = pack_shifted(p, shift, reverse)
+            c = p._c
+            if c:
+                self.top = max(self.top, *map(abs, c.values()))
+                self.degree = max(self.degree,
+                                  shift - min(c) if reverse else shift + max(c))
         return n
 
     def exact(self, terms: int) -> bool:
@@ -154,7 +146,7 @@ def _packed_bar_fixed(algebra: HeckeAlgebra, pk: _Packer,
     try:
         for w in terms:
             if w not in bars:
-                bars[w] = {y: pk.pack(a, lengths[w])
+                bars[w] = {y: pk(a, lengths[w])
                            for y, a in algebra._bar_of_basis(w).items()}
         pairs = [(pk(p, lx - lengths[w], True), bars[w]) for w, p in terms.items()]
         target = {y: pk(p, lx) for y, p in terms.items()}

@@ -315,6 +315,29 @@ def test_missing_matrix_file(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["kl-table", "--matrix", "/nonexistent/x"],
+     "[Errno 2] No such file or directory: '/nonexistent/x'"),
+    (["kl-table"], "one of --type or --matrix is required"),
+    (["kl-table", "--type", "A2", "--cap", "0"], "--cap must be positive"),
+    (["parabolic-tables", "--type", "A2", "--subset", "s9"],
+     "unknown generator label 's9'"),
+    (["rouquier-shape", "--type", "A2", "q5"], "unknown generator label 'q5'"),
+    (["hom-rank", "--type", "A2", "--subset", "s1", "s1", "e"],
+     "s1 is not a minimal coset representative for the chosen subset"),
+    (["verify", "--type", "A1", "--suite", "nope"],
+     "unknown suite(s): nope; available: bar-invariance, inversion, "
+     "positivity, parity, euler-hom, q-monotonicity, pairing, bs-positivity, "
+     "degree-one"),
+    (["verify", "--type", "A1", "--words", "-3"],
+     "bs_words must be non-negative, got -3"),
+], ids=["matrix-file", "no-system", "cap", "subset-label", "element-word",
+        "coset-rep", "suite-name", "words"])
+def test_input_error_lines(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("type_name", ["A1", "B4"], ids=["final-flush", "mid-table"])
 def test_closed_stdout_exits_141_quietly(type_name):
     # the read end is closed before the child writes, as `| head -1` may;

@@ -201,7 +201,8 @@ def test_euler_hom_matches_direct_composition(alg_of):
             for a, b in pairs:
                 h1 = M.embed(shape_character(a))
                 h2 = H.bar(M.embed(shape_character(b)))
-                direct = div_exact(trace_pairing(H, h1, h2), M.poincare())
+                direct = div_exact(trace_pairing(H, h1, h2),
+                                   M.system.poincare(M.subset))
                 assert euler_hom(a, b) == direct, (name, subset, a, b)
 
 

@@ -228,7 +228,8 @@ def test_hom_rank_matches_direct_composition(alg_of):
             for c1, c2 in pairs:
                 h1 = M.embed(c1.to_parabolic())
                 h2 = H.bar(M.embed(c2.to_parabolic()))
-                direct = div_exact(trace_pairing(H, h1, h2), M.poincare())
+                direct = div_exact(trace_pairing(H, h1, h2),
+                                   M.system.poincare(M.subset))
                 assert graded_hom_rank(c1, c2) == direct, (name, subset, c1, c2)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from heckekit import HeckeAlgebra, build_named, run_suites, verify
-from heckekit.laurent import ONE, V, LaurentPoly, lincomb, unpack
+from heckekit.laurent import ONE, V, LaurentPoly, lincomb, pack_shifted, unpack
 from heckekit.verify import SUITES, SuiteResult
 
 
@@ -475,3 +475,18 @@ def test_bound_guard_counts_the_pairs_behind_a_coefficient(t, exact):
     n = pk(a)
     assert pk.exact(1) == exact
     assert (unpack(n * n) == a * a) == exact
+
+
+@pytest.mark.parametrize("name", ["B3", "D4"])
+def test_bar_invariance_packs_each_operand_once(name, monkeypatch):
+    # the bar images v^l(w) bar(H_w) share the memo of the KL operands
+    keys = []
+
+    def recorded(p, shift, reverse=False):
+        keys.append((p, shift, reverse))
+        return pack_shifted(p, shift, reverse)
+
+    monkeypatch.setattr(verify, "pack_shifted", recorded)
+    [res] = run_suites(HeckeAlgebra(build_named(name)), ["bar-invariance"])
+    assert res.passed, res.first_failure
+    assert keys and len(keys) == len(set(keys))
