@@ -315,7 +315,7 @@ def main(argv=None) -> int:
         # would raise again (the SIGPIPE note of Python's `signal` docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    # input errors, UnsupportedBond and NotInIdeal are ValueErrors
+    # input errors and UnsupportedBond are ValueErrors
     except (ValueError, GroupTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

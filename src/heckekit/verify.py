@@ -7,11 +7,11 @@ mod, where)`, with `where` the prefix "I={...}" of its messages;
 system being finite).  `_subsets` is the one walk over the subsets.
 `run_suites` runs a selection of suites by name, one after another.
 
-Most suites check in units (a row, a column, a subset) with one fast test
-that every check of the unit passes; a passing unit adds its check count
-at once.  A failing unit replays its checks one by one through
-`SuiteResult.check`, so the counts, their order and the failure messages
-are those of the check-by-check loop.
+Most suites check in units (a row, a column, a subset): one pass lists
+the failed checks of a unit in check order, and `SuiteResult.add` counts
+the unit at once and sends each failure through `SuiteResult.check`, so
+the counts, their order and the failure messages are those of the
+check-by-check loop.
 
 The fast tests of `inversion` and `bar-invariance` compare sums of
 products with a known target as packed ints p(2^K), K = `PACK_BITS`
@@ -59,6 +59,13 @@ class SuiteResult:
             if self.first_failure is None:
                 self.first_failure = describe()
 
+    def add(self, checks: int, failed, describe) -> None:
+        """Count a unit of `checks` checks, of which the items of `failed`,
+        in check order, fail with the message `describe(item)`."""
+        self.checks += checks - len(failed)
+        for item in failed:
+            self.check(False, lambda: describe(item))
+
 
 def _subsets(algebra: HeckeAlgebra):
     """Every subset I of the generators, by size, then lexicographically,
@@ -79,10 +86,6 @@ def _per_module(name: str, check):
         return res
     suite.__doc__ = check.__doc__
     return suite
-
-
-def _nonzero(values: dict) -> dict:
-    return {k: v for k, v in values.items() if v}
 
 
 class _Packer(dict):
@@ -232,16 +235,11 @@ def check_inversion(res: SuiteResult, mod: ParabolicModule, where: str) -> None:
                       for y, g in mod.inverse_row(x).items() if g)
         col = lincomb((-g if (lengths[y] - lx) % 2 else g, h_cols[y])
                       for y, g in mod.inverse_col(x).items() if g)
-        # lincomb keeps no zero values and the keys lie in reps
-        if row == col == {x: ONE}:
-            res.checks += 2 * len(reps)
-            continue
-        for z in reps:
-            expected = ONE if x == z else ZERO
-            res.check(row.get(z, ZERO) == expected, lambda: f"{where} inversion "
-                      f"fails at x={sys.word_str(x)}, z={sys.word_str(z)}")
-            res.check(col.get(z, ZERO) == expected, lambda: f"{where} transposed "
-                      f"inversion fails at x={sys.word_str(x)}, z={sys.word_str(z)}")
+        failed = [(z, name) for z in reps
+                  for name, sums in (("inversion", row), ("transposed inversion", col))
+                  if sums.get(z, ZERO) != (ONE if x == z else ZERO)]
+        res.add(2 * len(reps), failed, lambda f: f"{where} {f[1]} fails at "
+                f"x={sys.word_str(x)}, z={sys.word_str(f[0])}")
 
 
 def check_positivity(res: SuiteResult, mod: ParabolicModule, where: str) -> None:
@@ -249,13 +247,10 @@ def check_positivity(res: SuiteResult, mod: ParabolicModule, where: str) -> None
     sys = mod.system
     for x in mod.reps:
         row = mod.inverse_row(x)
-        if all(g.is_nonneg() for g in row.values()):
-            res.checks += len(mod.reps)
-            continue
-        for z in mod.reps:
-            g = row.get(z, ZERO)
-            res.check(g.is_nonneg(), lambda: f"{where} g[{sys.word_str(x)}, "
-                      f"{sys.word_str(z)}] = {g} has a negative coefficient")
+        # the keys of a row do not ascend, and reps do
+        failed = sorted(z for z, g in row.items() if not g.is_nonneg())
+        res.add(len(mod.reps), failed, lambda z: f"{where} g[{sys.word_str(x)}, "
+                f"{sys.word_str(z)}] = {row[z]} has a negative coefficient")
 
 
 def check_parity(res: SuiteResult, mod: ParabolicModule, where: str) -> None:
@@ -265,15 +260,10 @@ def check_parity(res: SuiteResult, mod: ParabolicModule, where: str) -> None:
     for y in mod.reps:
         row = mod.inverse_row(y)
         ly = lengths[y]
-        if all((e - lengths[x] + ly) % 2 == 0
-               for x, g in row.items() for e in g.support()):
-            res.checks += len(mod.reps)
-            continue
-        for x in mod.reps:
-            g = row.get(x, ZERO)
-            ok = all((e - lengths[x] + ly) % 2 == 0 for e, _ in g.items())
-            res.check(ok, lambda: f"{where} parity fails for "
-                      f"g[{sys.word_str(y)}, {sys.word_str(x)}]")
+        failed = sorted({x for x, g in row.items() for e in g.support()
+                         if (e - lengths[x] + ly) % 2})
+        res.add(len(mod.reps), failed, lambda x: f"{where} parity fails for "
+                f"g[{sys.word_str(y)}, {sys.word_str(x)}]")
 
 
 def check_euler_hom(res: SuiteResult, mod: ParabolicModule, where: str) -> None:
@@ -285,17 +275,12 @@ def check_euler_hom(res: SuiteResult, mod: ParabolicModule, where: str) -> None:
     chars = {x: shape_character(fs[x]) for x in mod.reps}
     es = {x: mirror_shape(fs[x]) for x in mod.reps}
     for x in mod.reps:
-        char_ok = chars[x] == mod.delta(x)
+        res.add(1, [] if chars[x] == mod.delta(x) else [x], lambda x: f"{where} "
+                f"shape character of {sys.word_str(x)} is not the standard basis element")
         vals = {y: euler_hom(fs[x], es[y]) for y in mod.reps}
-        if char_ok and _nonzero(vals) == {x: ONE}:
-            res.checks += 1 + len(vals)
-            continue
-        res.check(char_ok, lambda: f"{where} shape character of "
-                  f"{sys.word_str(x)} is not the standard basis element")
-        for y, val in vals.items():
-            expected = ONE if x == y else ZERO
-            res.check(val == expected, lambda: f"{where} euler_hom fails at "
-                      f"x={sys.word_str(x)}, y={sys.word_str(y)}")
+        failed = [y for y, val in vals.items() if (val != ONE if x == y else val)]
+        res.add(len(mod.reps), failed, lambda y: f"{where} euler_hom fails at "
+                f"x={sys.word_str(x)}, y={sys.word_str(y)}")
 
 
 def suite_q_monotonicity(algebra: HeckeAlgebra, **_) -> SuiteResult:
@@ -307,13 +292,9 @@ def suite_q_monotonicity(algebra: HeckeAlgebra, **_) -> SuiteResult:
              if sys.bruhat_leq(v, w)]
     for subset, where in _subsets(algebra):
         proj = {w: sys.project_q(w, subset) for w in range(sys.size)}
-        oks = [sys.bruhat_leq(proj[v], proj[w]) for v, w in pairs]
-        if all(oks):
-            res.checks += len(oks)
-            continue
-        for (v, w), ok in zip(pairs, oks):
-            res.check(ok, lambda: f"{where} projection not "
-                      f"monotone at v={sys.word_str(v)}, w={sys.word_str(w)}")
+        failed = [(v, w) for v, w in pairs if not sys.bruhat_leq(proj[v], proj[w])]
+        res.add(len(pairs), failed, lambda f: f"{where} projection not "
+                f"monotone at v={sys.word_str(f[0])}, w={sys.word_str(f[1])}")
     return res
 
 
@@ -345,17 +326,13 @@ def suite_pairing(algebra: HeckeAlgebra, **_) -> SuiteResult:
                                        sys._right, _VINV_MINUS_V, ZERO)
             prods.append({w: c for w, c in terms.items()
                           if lengths[w] <= depth[y]})
-        traces = {y: p.get(0, ZERO) for y, p in enumerate(prods)}
-        vals = {y: algebra.pairing(hx, algebra.std(y)) for y in range(n)}
-        if _nonzero(traces) == _nonzero(vals) == {x: ONE}:
-            res.checks += n
-            continue
-        for y in range(n):
-            trace, val = traces[y], vals[y]
-            expected = ONE if x == y else ZERO
-            res.check(trace == expected and val == expected, lambda: (
-                f"eps(a(H[{sys.word_str(x)}]) H[{sys.word_str(y)}]) = {trace}, "
-                f"(H[{sys.word_str(x)}], H[{sys.word_str(y)}]) = {val}"))
+        traces = [p.get(0, ZERO) for p in prods]
+        vals = [algebra.pairing(hx, algebra.std(y)) for y in range(n)]
+        failed = [y for y, (t, val) in enumerate(zip(traces, vals))
+                  if ((t != ONE or val != ONE) if x == y else (t or val))]
+        res.add(n, failed, lambda y: (
+            f"eps(a(H[{sys.word_str(x)}]) H[{sys.word_str(y)}]) = {traces[y]}, "
+            f"(H[{sys.word_str(x)}], H[{sys.word_str(y)}]) = {vals[y]}"))
     return res
 
 

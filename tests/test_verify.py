@@ -44,6 +44,21 @@ def test_suite_selection_from_an_iterator():
     assert [r.name for r in run_suites(H, iter(["pairing"]))] == ["pairing"]
 
 
+def test_suite_result_add_counts_a_unit_at_once():
+    described = []
+
+    def describe(item):
+        described.append(item)
+        return f"fails at {item}"
+
+    res = SuiteResult("unit")
+    res.add(5, [], describe)
+    assert (res.checks, res.failures, res.first_failure) == (5, 0, None)
+    res.add(4, ["a", "b"], describe)
+    assert (res.checks, res.failures, res.first_failure) == (9, 2, "fails at a")
+    assert described == ["a"]
+
+
 def _corrupt_top_kl(H, y):
     top = H.system.longest
     corrupted = dict(H.kl_basis(top).terms)
@@ -143,6 +158,12 @@ def _corrupt_inverse_row(H, subset, x, z, *_):
     mod._nkl[m] = col
 
 
+def _corrupt_inverse_row_pair(H, subset, *_):
+    # two faults in the row of e, whose keys come as s2.s3.s2 before s2
+    for z in ("s2.s3.s2", "s2"):
+        _corrupt_inverse_row(H, subset, "e", z)
+
+
 def _corrupt_pkl(H, subset, x, _z, top, *_):
     sys, mod = H.system, H.parabolic(subset)
     x, top = sys.parse_element(x), sys.parse_element(top)
@@ -234,6 +255,16 @@ PINNED_FAULTS = {
         ]),
         ("degree-one", 373, 1, [
             "I={s1} degree-one mismatch at z=s2, x=s1.s2.s3.s2",
+        ]),
+    ]),
+    "A3-inverse-row-pair": ("A3", _corrupt_inverse_row_pair, [
+        ("positivity", 1077, 2, [
+            "I={s1} g[e, s2] = -1*v^1 + 1*v^2 has a negative coefficient",
+            "I={s1} g[e, s2.s3.s2] = -2*v^1 + 1*v^2 + 1*v^3 has a negative coefficient",
+        ]),
+        ("parity", 1077, 2, [
+            "I={s1} parity fails for g[e, s2]",
+            "I={s1} parity fails for g[e, s2.s3.s2]",
         ]),
     ]),
     "A3-pkl": ("A3", _corrupt_pkl, [
