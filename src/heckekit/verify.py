@@ -13,14 +13,15 @@ the unit at once and sends each failure through `SuiteResult.check`, so
 the counts, their order and the failure messages are those of the
 check-by-check loop.
 
-The fast tests of `inversion` and `bar-invariance` compare sums of
-products with a known target as packed ints p(2^K), K = `PACK_BITS`
-(`laurent.pack_shifted`): one int add per term, and one int multiply
-per distinct coefficient and index.  The sum is exact in the packing
-when (largest operand coefficient)^2 * terms * (degree + 1) < 2^(K-1),
-and then equal ints are equal polynomials.  Only a unit that fails, has
-an operand that does not pack, or breaks this bound is decoded: it
-replays through `lincomb` or `HeckeAlgebra.bar`.
+`inversion` and `bar-invariance` sum products as packed ints p(2^K),
+K = `PACK_BITS` (`laurent.pack_shifted`): one int add per term, and one
+int multiply per distinct coefficient and index.  A sum is exact in the
+packing when (largest operand coefficient)^2 * terms * (degree + 1) <
+2^(K-1), and then equal ints are equal polynomials.  `inversion` picks
+its kernel once per module: packed sums when every operand packs within
+this bound, else `lincomb` over the same columns.  A `bar-invariance`
+unit that fails, has an operand that does not pack, or breaks the bound
+replays through `HeckeAlgebra.bar`.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _per_module(name: str, check):
 
 
 class _Packer(dict):
-    """The operands of one suite's fast units as packed ints: maps (p,
+    """The operands of one module's or suite's packed sums as ints: maps (p,
     shift, reverse) to `pack_shifted(p, shift, reverse)`, packed once per
     value (F4 has 3,172 distinct values among the 396,809 entries of
     v^l(w) bar(H_w)).  `top` and `degree` are the largest coefficient size
@@ -179,67 +180,47 @@ def suite_bar_invariance(algebra: HeckeAlgebra, **_) -> SuiteResult:
     return res
 
 
-def _transpose(table: dict[int, dict]) -> dict[int, dict]:
-    out: dict[int, dict] = {}
-    for a, row in table.items():
-        for b, p in row.items():
-            out.setdefault(b, {})[a] = p
-    return out
-
-
-def _packed_delta(pk: _Packer, lengths, x: int, coeffs: dict[int, LaurentPoly],
-                  table: dict[int, dict[int, int]]) -> bool:
-    """Whether sum_y (-1)^(l(y)-l(x)) c_y table[y] = {x: 1}, summed as
-    packed ints over the nonzero c_y of `coeffs` and the packed maps of
-    `table`."""
-    lx = lengths[x]
-    try:
-        pairs = [(-pk(c) if (lengths[y] - lx) % 2 else pk(c), table.get(y, {}))
-                 for y, c in coeffs.items() if c]
-    except ValueError:
-        return False
-    return pk.exact(len(pairs)) and _packed_lincomb(pairs) == {x: 1}
-
-
 def check_inversion(res: SuiteResult, mod: ParabolicModule, where: str) -> None:
     """The inversion identity and its transposed form.
 
-    For each x the whole row sum_y (-1)^(l(y)-l(x)) g_{x,y} h_{y,z} and
-    the whole column sum_y (-1)^(l(y)-l(x)) h_{z,y} g_{y,x} over z are
-    summed as packed ints and compared with delta_{x,z}.  A unit that
-    fails there, or whose operands do not pack within the bound, is built
-    again as sparse products of polynomials and checked z by z.
+    With the sign (-1)^(l(y)-l(x)) split as (-1)^l(x) (-1)^l(y), both are
+    column sums: the identity at (x, z) is entry x of sum_y (-1)^l(y)
+    h_{y,z} G[., y], its transposed form entry z of sum_y (-1)^l(y)
+    g_{y,x} H[., y], and each must be (-1)^l(x) delta_{x,z}.  Both kernels,
+    packed ints when every entry of h and g packs within the bound for the
+    longest column and `lincomb` otherwise, are exact.
     """
     sys, reps = mod.system, mod.reps
     lengths = sys.lengths
     h_cols = {z: mod.kl_basis(z).terms for z in reps}  # z -> {y: h_{y,z}}
     pk = _Packer()
     try:
-        n_cols = {z: {y: pk(p) for y, p in col.items()} for z, col in h_cols.items()}
-        n_rows = _transpose(n_cols)
+        cols = ({z: {y: pk(p) for y, p in col.items()} for z, col in h_cols.items()},
+                {x: {y: pk(g) for y, g in mod.inverse_col(x).items() if g} for x in reps})
+        packed = pk.exact(max(len(col) for side in cols for col in side.values()))
     except ValueError:
-        n_cols = n_rows = None  # an entry of h does not pack: every unit replays
-    h_rows = None
-    for x in reps:
-        if (n_cols is not None
-                and _packed_delta(pk, lengths, x, mod.inverse_row(x), n_rows)
-                and _packed_delta(pk, lengths, x, mod.inverse_col(x), n_cols)):
-            res.checks += 2 * len(reps)
-            continue
-        if h_rows is None:
-            # a corrupted cache may leave a row of h empty, which must
-            # count as failures, not raise
-            h_rows = _transpose(h_cols)
-        lx = lengths[x]
-        row = lincomb((-g if (lengths[y] - lx) % 2 else g, h_rows.get(y, {}))
-                      for y, g in mod.inverse_row(x).items() if g)
-        col = lincomb((-g if (lengths[y] - lx) % 2 else g, h_cols[y])
-                      for y, g in mod.inverse_col(x).items() if g)
-        failed = [(z, name) for z in reps
-                  for name, sums in (("inversion", row), ("transposed inversion", col))
-                  if sums.get(z, ZERO) != (ONE if x == z else ZERO)]
-        res.add(2 * len(reps), failed, lambda f: f"{where} {f[1]} fails at "
-                f"x={sys.word_str(x)}, z={sys.word_str(f[0])}")
+        packed = False
+    kernel = _packed_lincomb
+    if not packed:  # polynomial columns of g only for this kernel
+        kernel = lincomb
+        cols = (h_cols, {x: {y: g for y, g in mod.inverse_col(x).items() if g}
+                         for x in reps})
+
+    def failures(a_cols, b_cols):
+        # (i, c) of each entry i of sum_y (-1)^l(y) a_{y,c} B[., y] that
+        # is not (-1)^l(c) delta_{i,c}; both kernels drop zero entries
+        for c, col in a_cols.items():
+            sums = kernel([(-a if lengths[y] % 2 else a, b_cols[y])
+                           for y, a in col.items()])
+            if sums.pop(c, 0) != (-1) ** lengths[c]:
+                yield c, c
+            yield from ((i, c) for i in sums)
+
+    failed = sorted([(x, z, 0) for x, z in failures(*cols)]
+                    + [(x, z, 1) for z, x in failures(*reversed(cols))])
+    names = ("inversion", "transposed inversion")
+    res.add(2 * len(reps) ** 2, failed, lambda f: f"{where} {names[f[2]]} fails at "
+            f"x={sys.word_str(f[0])}, z={sys.word_str(f[1])}")
 
 
 def check_positivity(res: SuiteResult, mod: ParabolicModule, where: str) -> None:

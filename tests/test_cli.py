@@ -172,6 +172,15 @@ TABLE_DIGESTS = [
      "7027e8875cd7d3644829b68ea63fb96153dfab3e885ad52f9d588ce4c0414999"),
     (("inverse-tables", "--type", "D5", "--subset", "s2"),
      "bcbe6d862ca12f1bfc0b59d5e9526fe953046dfad0e8908e4d2b38a031c2c75e"),
+    # the JSON of one shape and of one Hom rank
+    (("rouquier-shape", "--type", "A3", "--subset", "s1", "s2.s3", "--format", "json"),
+     "07ae01f3fe54ace8f643662330b783cf5be7e0b48983f1706e736b5c5fb27c15"),
+    (("rouquier-shape", "--type", "B3", "--subset", "s2", "s1.s2.s3", "--negative",
+      "--format", "json"),
+     "b829c105e811487c78ad1e4cc27c570fa210c666b885c8e2efd8aea2e984cfbe"),
+    (("hom-rank", "--type", "B3", "--subset", "s1,s3", "s2", "s2.s1.s3.s2",
+      "--format", "json"),
+     "9ba890712f83256238d8e04602096a7c16f70b734b5b4a0797a1c1153d986f60"),
 ]
 
 

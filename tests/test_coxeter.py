@@ -9,13 +9,24 @@ from heckekit.laurent import LaurentPoly, ONE, vpow
 from oracles import bruhat_lower_set
 
 
-def test_matrix_validation():
+def test_matrix_validation(sys_of):
     with pytest.raises(ValueError):
         CoxeterMatrix([[1, 3], [2, 1]])  # not symmetric
     with pytest.raises(ValueError):
         CoxeterMatrix([[2]])  # bad diagonal
     with pytest.raises(ValueError):
         CoxeterMatrix([[1, 1], [1, 1]])  # off-diagonal < 2
+    for make, message in [
+        (lambda: CoxeterMatrix([]), "rank must be positive"),
+        (lambda: CoxeterMatrix([[1, 2], [2]]), "Coxeter matrix must be square"),
+        (lambda: CoxeterMatrix.from_text(""), "empty Coxeter matrix description"),
+        (lambda: build(CoxeterMatrix.from_name("A2"), cap=0), "cap must be positive"),
+        (lambda: sys_of("A2").element_from_word([0, 5]),
+         "generator index 5 out of range"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
 
 
 def test_matrix_rejects_non_integral_entries():

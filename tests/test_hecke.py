@@ -392,6 +392,8 @@ def test_mult_bilinear_in_scalars(c, d):
     h1 = H.kl_basis(1)
     h2 = H.kl_basis(2)
     assert H.mult(c * h1, d * h2) == (c * d) * H.mult(h1, h2)
+    # a scalar on the right of an element of H scales it as on the left
+    assert h1 * c == c * h1
 
 
 # -- in-place accumulation and interned coefficients ---------------------------------

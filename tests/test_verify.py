@@ -144,7 +144,7 @@ def _faulted(name, suites, corrupt):
     return out
 
 
-def _corrupt_inverse_row(H, subset, x, z, *_):
+def _corrupt_inverse_row(H, subset, x, z, *_, delta=LaurentPoly({1: -2, 2: 1})):
     # g_{x,z} is the w0 z w_I entry of the KL element of w0 x w_I in N;
     # every column of N is filled first, so no recursion reads the fault
     # (for I = {} N's table is H's, and the fault would change h too)
@@ -154,8 +154,13 @@ def _corrupt_inverse_row(H, subset, x, z, *_):
         mod._nkl[r]
     m, n = mod._opposite[x], mod._opposite[z]
     col = dict(mod._nkl[m])
-    col[n] = col[n] + LaurentPoly({1: -2, 2: 1})
+    col[n] = col[n] + delta
     mod._nkl[m] = col
+
+
+def _unpackable_inverse(H, subset, x, z, *_):
+    # v^-1 in an entry of g, which then does not pack
+    _corrupt_inverse_row(H, subset, x, z, delta=LaurentPoly({-1: 1}))
 
 
 def _corrupt_inverse_row_pair(H, subset, *_):
@@ -266,6 +271,16 @@ PINNED_FAULTS = {
             "I={s1} parity fails for g[e, s2]",
             "I={s1} parity fails for g[e, s2.s3.s2]",
         ]),
+    ]),
+    "A3-unpackable-inverse": ("A3", _unpackable_inverse, [
+        ("inversion", 2154, 4, [
+            "I={s1} inversion fails at x=s2, z=s1.s2.s3.s2",
+            "I={s1} inversion fails at x=s2, z=s1.s2.s1.s3.s2",
+            "I={s1} transposed inversion fails at x=s1.s2.s3.s2, z=e",
+            "I={s1} transposed inversion fails at x=s1.s2.s3.s2, z=s2",
+        ]),
+        ("positivity", 1077, 0, []),
+        ("parity", 1077, 0, []),
     ]),
     "A3-pkl": ("A3", _corrupt_pkl, [
         ("inversion", 2154, 3, [
@@ -437,9 +452,11 @@ def test_pinned_fault(case):
     assert _faulted(name, suites, corrupt) == [tuple(rest) for _, *rest in expected]
 
 
-# The fast units of inversion and bar-invariance compare packed ints; a
-# unit that fails there, does not pack or breaks the coefficient bound
-# replays through lincomb (twice per inversion unit) or HeckeAlgebra.bar.
+# inversion sums the columns of a module as packed ints, or through
+# lincomb (once per column of each identity, so twice per rep) when an
+# operand does not pack or the longest column breaks the coefficient
+# bound; a bar-invariance unit that fails in the packing, does not pack
+# or breaks the bound replays through HeckeAlgebra.bar.
 
 def _count_replays(monkeypatch):
     calls = {"lincomb": 0, "bar": 0}
@@ -490,11 +507,11 @@ def test_bound_guard_rejects_a_colliding_sum():
     assert sum(pk(c) * table[y][0] for y, c in coeffs.items()) == 1
     polys = {0: {0: ONE}, 1: {0: big}, 2: {0: V}}
     assert lincomb((c, polys[y]) for y, c in coeffs.items()) != {0: ONE}
-    assert not verify._packed_delta(pk, [0, 0, 0], 0, coeffs, table)
-    # a sum of small operands that is {x: 1} passes
+    assert not pk.exact(3)
+    # a sum of small operands stays within the bound
     small = verify._Packer()
-    table = {0: {0: small(ONE)}}
-    assert verify._packed_delta(small, [0], 0, {0: ONE}, table)
+    small(ONE)
+    assert small.exact(1)
 
 
 @pytest.mark.parametrize("t, exact", [((1 << 30) + 1, False), (1 << 29, True)])
