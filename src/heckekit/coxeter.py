@@ -226,6 +226,36 @@ def _chamber_action(matrix: CoxeterMatrix):
     return (1,) * n, act
 
 
+def _graph_automorphisms(m, subset: frozenset[int]) -> list[tuple[int, ...]]:
+    """For each i < j, one permutation p with m[p[a]][p[b]] = m[a][b] and
+    p(I) = I that fixes 0 .. i-1 and sends i to j, where there is one,
+    found by backtracking in index order."""
+    n = len(m)
+    # such a p keeps membership in I and the multiset of labels at a vertex
+    shape = [(a in subset, sorted(row)) for a, row in enumerate(m)]
+
+    def extend(p: list[int], i: int, j: int) -> bool:
+        k = len(p)
+        if k == n:
+            return True
+        for t in ([j] if k == i else range(n)):
+            if (shape[t] == shape[k] and t not in p
+                    and all(m[p[a]][t] == m[a][k] for a in range(k))):
+                p.append(t)
+                if extend(p, i, j):
+                    return True
+                p.pop()
+        return False
+
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = list(range(i))
+            if extend(p, i, j):
+                out.append(tuple(p))
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -233,7 +263,8 @@ class CoxeterSystem:
     """A fully enumerated finite Coxeter system.  Build with `build`.
 
     Immutable after construction except the lazily filled coset table
-    per subset, whose entries are deterministic values.
+    and graph automorphism maps per subset, whose entries are
+    deterministic values.
     """
 
     def __init__(self, matrix: CoxeterMatrix, lengths, words, right, left, inv):
@@ -249,6 +280,7 @@ class CoxeterSystem:
             raise RuntimeError("no unique longest element; enumeration is broken")
         self.longest = self.size - 1
         self._reps: dict[frozenset[int], list[int]] = {}
+        self._automorphisms: dict[frozenset[int], tuple[tuple[int, ...], ...]] = {}
 
     # -- generators and words ---------------------------------------------
 
@@ -354,6 +386,41 @@ class CoxeterSystem:
             if lengths[sx] < lx:
                 x = sx
         return True
+
+    # -- graph automorphisms -------------------------------------------------
+
+    def graph_automorphisms(self, subset: Iterable[int] = ()) -> tuple[tuple[int, ...], ...]:
+        """Index maps of a generating set of the automorphisms p of the
+        Coxeter graph with p(I) = I: p is a label-preserving permutation
+        of the generators, extended to W by phi(u s) = phi(u) p(s).
+
+        For each i < j the set holds one such p that fixes s1 .. s_i and
+        sends s_{i+1} to s_{j+1}, where there is one: generators of each
+        stabiliser of the chain, so at most rank (rank - 1) / 2 maps and
+        never the whole group (A1 x ... x A1 has rank! automorphisms).
+        Computed on first use per subset, from `_right` alone, and cached.
+        """
+        key = self.subset(subset)
+        maps = self._automorphisms.get(key)
+        if maps is None:
+            perms = _graph_automorphisms(self.matrix.m, key)
+            lengths, right = self.lengths, self._right
+            # w = u s for its first right descent s, u earlier than w
+            parents = []
+            for w in range(1, self.size) if perms else ():
+                lw = lengths[w]
+                for s, u in enumerate(right[w]):
+                    if lengths[u] < lw:
+                        parents.append((u, s))
+                        break
+            maps = []
+            for p in perms:
+                phi = [0]
+                for u, s in parents:
+                    phi.append(right[phi[u]][p[s]])
+                maps.append(tuple(phi))
+            maps = self._automorphisms[key] = tuple(maps)
+        return maps
 
     # -- parabolic subgroups and cosets ---------------------------------------
 

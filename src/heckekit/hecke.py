@@ -27,11 +27,16 @@ descent of x, then h_{w,x} = v h_{sw,x} for every w with sw > w.  So a
 `KLTable` computes only the coefficients at the s-descents w and reads
 the rest off by a shift of v.  One table holds the KL basis of H; each
 parabolic module with I != {} holds two more over W^I (parabolic.py),
-and H is the case W^I = W.  In H alone, the anti-involution
-a: H_w -> H_{w^-1} commutes with bar and keeps the degree bound, so
-a(KL_x) = KL_{x^-1}, that is h_{y,x} = h_{y^-1,x^-1} (ibid.): H's table
-runs the recursion only for x <= x^-1 and reads the other KL_x off
-KL_{x^-1}.  W^I has no inversion, so the module tables run it for all.
+and H is the case W^I = W.
+
+A map g of W that commutes with bar and keeps the degree bound maps each
+KL_x to KL_{g(x)}, so h_{g(y),g(x)} = h_{y,x} (ibid.).  Each automorphism
+of the Coxeter graph is one; so is the anti-involution a: H_w -> H_{w^-1}
+of H, and in the modules every automorphism with p(I) = I, which keeps
+W^I and Deodhar's three cases.  A table runs the recursion only at the
+minimum of each orbit of the group its maps generate, and reads every
+other KL_x off a neighbour in the orbit: F4 runs it for 344 of its 1,152
+elements, D5 for 653 of 1,920 and A6 for 1,387 of 5,040.
 
 Off the diagonal every h there lies in vZ[v], so the recursion holds each
 coefficient as the one int n = p(2^K), K = `PACK_BITS` (Kronecker
@@ -206,11 +211,13 @@ class KLTable(dict):
     over z < sx with sz < z, or sz = z in the spherical module.
     `left[w][s]` is sw, or w where sw is not in W^I, and there
     KL_s P_w = (v + v^-1) P_w in M (`spherical`) and 0 in N (never in H).
-    The table reads W only through `lengths`, first letters and `word_str`,
-    and, in H only, the inverse map `inv`: an x with inv[x] < x is not
-    computed by the recursion but read off KL_{x^-1} as
-    {inv[w]: h_{w,x^-1}}, the same interned values under inverted keys,
-    so each x still comes by one route, decided by index.
+    The table reads W only through `lengths`, first letters, `word_str`
+    and `maps`, index maps g with h_{g(y),g(x)} = h_{y,x} (module
+    docstring).  On the first miss in an orbit of the group they generate,
+    a breadth-first search from its minimum m gives every other y a source
+    (u, g) with g(u) = y and u nearer to m.  Only m runs the recursion;
+    each y is read off as {g(w): h_{w,u}}, the same interned values under
+    mapped keys, so each x still comes by one route, decided by index.
 
     By the descent identity h_{w,u} = v h_{sw,u} for sw > w (Kazhdan-Lusztig
     1979, P_{y,w} = P_{sy,w}), only the coefficients at w with sw <= w
@@ -226,24 +233,30 @@ class KLTable(dict):
     """
 
     def __init__(self, system: CoxeterSystem, left, spherical: bool,
-                 packing: Packing, inv=None):
+                 packing: Packing, maps=()):
         super().__init__()
         self.system = system
         self.left = left
         self.spherical = spherical
         self.packing = packing
-        self.inv = inv
+        self.maps = maps
+        # per walked orbit: None at its minimum, (u, g) with g[u] = y elsewhere
+        self._sources: dict[int, tuple | None] = {}
 
     def __missing__(self, x: int) -> dict[int, LaurentPoly]:
         pk = self.packing
         if x == 0:
             terms = self[0] = {0: pk.poly(1)}
             return terms
-        inv = self.inv
-        if inv is not None and inv[x] < x:
-            # h_{w,x} = h_{w^-1,x^-1}
-            terms = self[x] = {inv[w]: p for w, p in self[inv[x]].items()}
-            return terms
+        if self.maps:
+            if x not in self._sources:
+                self._walk_orbit(x)
+            source = self._sources[x]
+            if source is not None:
+                # h_{g(w),g(u)} = h_{w,u}
+                u, g = source
+                terms = self[x] = {g[w]: p for w, p in self[u].items()}
+                return terms
         K = PACK_BITS
         mask = (1 << K) - 1
         packed = pk.packed
@@ -313,6 +326,21 @@ class KLTable(dict):
         self[x] = terms
         return terms
 
+    def _walk_orbit(self, x: int) -> None:
+        """Record the sources of the orbit of x: a breadth-first search
+        from x finds its minimum m, and one from m reads every other y off
+        an element nearer to m."""
+        def search(root: int) -> dict[int, tuple | None]:
+            tree, queue = {root: None}, [root]
+            for u in queue:
+                for g in self.maps:
+                    if g[u] not in tree:
+                        tree[g[u]] = (u, g)
+                        queue.append(g[u])
+            return tree
+
+        self._sources.update(search(min(search(x))))
+
     def _constant_term(self, w: int, y: int, p: LaurentPoly) -> ValueError:
         word = self.system.word_str
         return ValueError(f"off-diagonal KL coefficient at ({word(w)}, {word(y)}) "
@@ -334,7 +362,7 @@ class HeckeAlgebra:
         self._bar_polys: dict[LaurentPoly, LaurentPoly] = {ONE: ONE}
         self._packing = Packing()
         self._kl = KLTable(system, system._left, False, self._packing,
-                           system._inv)
+                           (system._inv, *system.graph_automorphisms()))
         self._parabolic: dict[frozenset[int], object] = {}
 
     # -- constructors -------------------------------------------------------

@@ -66,8 +66,10 @@ class ParabolicModule:
             # KL_s on W^I for the recursion: sw, or w where sw is not in W^I
             self._left = {w: tuple(sw if sw in self._rep_set else w
                                    for sw in sys._left[w]) for w in self.reps}
-            self._pkl = KLTable(sys, self._left, True, algebra._packing)
-            self._nkl = KLTable(sys, self._left, False, algebra._packing)
+            # the automorphisms with p(I) = I keep W^I and Deodhar's cases
+            maps = sys.graph_automorphisms(self.subset)
+            self._pkl = KLTable(sys, self._left, True, algebra._packing, maps)
+            self._nkl = KLTable(sys, self._left, False, algebra._packing, maps)
 
     def subset_labels(self) -> list[str]:
         return [self.system.gen_label(s) for s in sorted(self.subset)]

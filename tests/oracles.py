@@ -56,8 +56,9 @@ def bar_solve_kl(algebra, x):
 
 def kl_table_by_recursion(algebra):
     """The KL table of H with the mu-recursion run for every x, where the
-    library reads KL_x off KL_{x^-1} for x^-1 < x: a `KLTable` over W
-    without the inverse map, with a packing of its own."""
+    library runs it only at the minimum of each orbit under inversion and
+    the graph automorphisms: a `KLTable` over W without maps, with a
+    packing of its own."""
     sys = algebra.system
     return KLTable(sys, sys._left, False, Packing())
 

@@ -172,6 +172,18 @@ TABLE_DIGESTS = [
      "7027e8875cd7d3644829b68ea63fb96153dfab3e885ad52f9d588ce4c0414999"),
     (("inverse-tables", "--type", "D5", "--subset", "s2"),
      "bcbe6d862ca12f1bfc0b59d5e9526fe953046dfad0e8908e4d2b38a031c2c75e"),
+    # tables whose columns are read off their images under graph
+    # automorphisms, recorded before the tables used them
+    (("kl-table", "--type", "A2xA2"),
+     "d15bb6883e80ced4fd54301bfecf5f86d9328f2b21c59cdf81fa0b95af785552"),
+    (("kl-table", "--type", "A1xA1xA1"),
+     "284bcaf0ec911eedf5b735e719d513bab752bf7778d4116fe884ef650f3c83e1"),
+    (("kl-table", "--type", "I2(5)"),
+     "98302e4402c42dc298b4ebe5e397932b8bbd05f6d1174e37f778d70192c70442"),
+    (("parabolic-tables", "--type", "F4", "--subset", "s2,s3"),
+     "7184b52cfd4ee43f2a875593eddfdc15f5d14019f98a849f1c5ea700aaf49ad4"),
+    (("inverse-tables", "--type", "F4", "--subset", "s1,s4"),
+     "f2972c6c04735dc2cc1415a79b93359d13faedc29143bdc2490b57e32352a317"),
     # the JSON of one shape and of one Hom rank
     (("rouquier-shape", "--type", "A3", "--subset", "s1", "s2.s3", "--format", "json"),
      "07ae01f3fe54ace8f643662330b783cf5be7e0b48983f1706e736b5c5fb27c15"),

@@ -339,6 +339,40 @@ def test_cosets_match_their_definitions(sys_of, name):
             w for w in range(W.size) if not W.descents(w) & I)
 
 
+def _closure(perms, rank):
+    group = {tuple(range(rank))}
+    todo = list(group)
+    for q in todo:
+        for p in perms:
+            qp = tuple(q[p[s]] for s in range(rank))
+            if qp not in group:
+                group.add(qp)
+                todo.append(qp)
+    return group
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "B3", "D4", "F4", "I2(5)", "G2xA2",
+                                  "A2xA2", "A1xA1xA1", "A1xA2xA1", "3 3 3 2"])
+def test_graph_automorphisms_generate_the_stabiliser(sys_of, name):
+    # against every label-preserving permutation with p(I) = I, and each
+    # index map against the permuted canonical words
+    W = build(CoxeterMatrix.from_text(name)) if name[0].isdigit() else sys_of(name)
+    m, n, gens = W.matrix.m, W.rank, W._right[0]
+    every = {p for p in itertools.permutations(range(n))
+             if all(m[p[a]][p[b]] == m[a][b] for a in range(n) for b in range(n))}
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            maps = W.graph_automorphisms(subset)
+            assert W.graph_automorphisms(subset) is maps
+            assert len(maps) <= n * (n - 1) // 2
+            perms = [tuple(gens.index(phi[gens[s]]) for s in range(n)) for phi in maps]
+            assert _closure(perms, n) == {p for p in every
+                                          if {p[s] for s in subset} == set(subset)}
+            for p, phi in zip(perms, maps):
+                assert phi == tuple(W.element_from_word(p[s] for s in W.words[w])
+                                    for w in range(W.size))
+
+
 def test_projection_monotone(sys_of):
     # w >= v implies q(w) >= q(v)
     W = sys_of("B2")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -421,10 +422,10 @@ def test_kl_table_independent_of_fill_order():
 
 @pytest.mark.parametrize("descending", [False, True])
 @pytest.mark.parametrize("name", ["A1", "A3", "B3", "D4", "F4", "I2(5)", "I2(8)",
-                                  "A1xB3", "G2xA2"])
+                                  "A1xB3", "G2xA2", "A2xA2"])
 def test_kl_table_read_off_inverses_matches_plain_recursion(name, descending):
-    # descending, each x with x^-1 < x is looked up first and runs the
-    # recursion of x^-1 on demand
+    # descending, each x that is not the minimum of its orbit is looked up
+    # first and runs the recursion of the minimum on demand
     H = HeckeAlgebra(build_named(name))
     W = H.system
     inv = W._inv
@@ -450,26 +451,75 @@ class _Recording(tuple):
         return super().__getitem__(i)
 
 
-@pytest.mark.parametrize("name", ["B3", "D4", "G2xA2"])
-def test_kl_recursion_runs_once_per_inverse_pair(name):
-    # the recursion reads the first letter of x, the remap does not
+def _orbit_minima(maps, domain):
+    """The least element of each orbit of the group generated by `maps` on
+    `domain`, e excluded: walking in index order, the first element of an
+    orbit is its minimum."""
+    seen, minima = set(), set()
+    for x in domain:
+        if x not in seen:
+            minima.add(x)
+            orbit = [x]
+            seen.add(x)
+            for y in orbit:
+                for g in maps:
+                    if g[y] not in seen:
+                        seen.add(g[y])
+                        orbit.append(g[y])
+    return minima - {0}
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "G2xA2", "A2xA2"])
+def test_kl_recursion_runs_once_per_orbit(name):
+    # the recursion reads the first letter of x, the read-off does not
     W = build_named(name)
     H = HeckeAlgebra(W)
-    modules = [H.parabolic([s]) for s in range(W.rank)]
+    modules = [H.parabolic(subset) for size in range(1, W.rank + 1)
+               for subset in itertools.combinations(range(W.rank), size)]
     seen = set()
     W.words = _Recording(W.words, seen)
     for x in range(W.size):
         H.kl_basis(x)
-    assert seen == {x for x in range(1, W.size) if W._inv[x] >= x}
+    assert seen == _orbit_minima(H._kl.maps, range(W.size))
     for M in modules:
         seen.clear()
         for x in M.reps:
             M.kl_basis(x)
-        assert seen == set(M.reps[1:])
+        assert seen == _orbit_minima(M._pkl.maps, M.reps)
         seen.clear()
         for x in M.reps:
             M.inverse_row(x)
-        assert seen == set(M.reps[1:])
+        assert seen == _orbit_minima(M._nkl.maps, M.reps)
+    # B3 has no graph automorphism; the others act on some of their modules
+    assert any(M._pkl.maps for M in modules) == (name != "B3")
+
+
+@pytest.mark.parametrize("name", ["D4", "F4", "G2xA2", "A2xA2", "A1xA1xA1"])
+def test_module_tables_read_off_orbits_match_plain_recursion(name):
+    # M and N against tables over W^I that run the recursion for every x
+    H = HeckeAlgebra(build_named(name))
+    W = H.system
+    for size in range(1, W.rank + 1):
+        for subset in itertools.combinations(range(W.rank), size):
+            M = H.parabolic(subset)
+            if not M._pkl.maps:
+                continue
+            for table, spherical in ((M._pkl, True), (M._nkl, False)):
+                plain = hecke.KLTable(W, M._left, spherical, hecke.Packing())
+                for x in reversed(M.reps):
+                    assert table[x] == plain[x], (subset, W.word_str(x))
+
+
+def test_symmetry_setup_is_a_generating_set_not_the_group():
+    # Aut of the graph of A1^12 is the symmetric group on 12 letters
+    W = build_named("x".join(["A1"] * 12))
+    start = time.perf_counter()
+    H = HeckeAlgebra(W)
+    assert time.perf_counter() - start < 1.0
+    assert len(H._kl.maps) <= W.rank * (W.rank - 1) // 2 + 1
+    top = W.lengths[W.longest]
+    assert H.kl_basis(W.longest).terms == {
+        y: vpow(top - W.lengths[y]) for y in range(W.size)}
 
 
 def test_kl_coefficients_are_interned():
@@ -551,6 +601,23 @@ def test_corrupted_coefficient_read_by_the_inverse_raises_for_both():
         H.kl_basis(x)
     assert x not in H._kl
     assert xi not in H._kl
+
+
+def test_corrupted_orbit_minimum_raises_for_its_flip_image():
+    # the flip s1 <-> s3 of A3 reads its image off the minimum m of an
+    # orbit, so the fault in the recursion of m raises for the image, and
+    # neither element is stored
+    H = HeckeAlgebra(build_named("A3"))
+    W = H.system
+    flip, = W.graph_automorphisms()
+    assert flip[W.parse_element("s1")] == W.parse_element("s3")
+    minima = _orbit_minima(H._kl.maps, range(W.size))
+    m = _corrupt_descent_entry(H, lambda p: p + 1,
+                               [x for x in sorted(minima) if flip[x] != x])
+    with pytest.raises(ValueError, match="has a constant term"):
+        H.kl_basis(flip[m])
+    assert flip[m] not in H._kl
+    assert m not in H._kl
 
 
 def test_corrupted_fixed_entry_of_spherical_module_raises():
