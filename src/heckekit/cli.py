@@ -224,7 +224,7 @@ def cmd_verify(args) -> int:
     if args.suite:
         names = [n.strip() for n in args.suite.split(",") if n.strip()]
     results = verify.run_suites(algebra, names, seed=args.seed,
-                                bs_words=args.words)
+                                bs_words=args.bs_words)
     if args.format == "json":
         _print_json({
             "system": label,
@@ -296,7 +296,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated suite names (default: all); "
                         f"available: {', '.join(verify.SUITES)}")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--words", type=int, default=verify.DEFAULT_BS_WORDS,
+    p.add_argument("--words", dest="bs_words", metavar="WORDS", type=int,
+                   default=verify.DEFAULT_BS_WORDS,
                    help="random words per subset in bs-positivity")
     p.set_defaults(func=cmd_verify)
 

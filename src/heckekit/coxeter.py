@@ -9,6 +9,10 @@ a subset I (W_I, W^I, w = y u) reads one table, the minimal coset
 representative of every element, built on first use.  Queries are pure
 functions of (system, arguments).
 
+No word is stored: a canonical word is spelled on demand along the
+discovery tree of the enumeration (`CoxeterSystem.tree`), so a system
+takes memory linear in |W| for every type.
+
 Elements are enumerated as the orbit of one chamber: w is keyed by w^-1
 applied to a base chamber, so key(w s) = act(s, key(w)).  There are two
 exact realizations:
@@ -26,6 +30,7 @@ bonds in rank >= 3 (H3, H4, ...) are rejected.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from typing import Iterable, Sequence
@@ -96,18 +101,12 @@ class CoxeterMatrix:
         factors = [f.strip(" ") for f in name.split("x")]
         if "" in factors:
             raise ValueError(f"unknown type name: {name!r} has an empty factor")
-        blocks = [_named_factor_bonds(f) for f in factors]
-        rank = sum(n for n, _ in blocks)
-        m = [[2] * rank for _ in range(rank)]
-        for i in range(rank):
-            m[i][i] = 1
-        offset = 0
-        for n, bonds in blocks:
-            for (i, j), label in bonds.items():
-                m[offset + i][offset + j] = label
-                m[offset + j][offset + i] = label
+        bonds, offset = {}, 0
+        for n, block in map(_named_factor_bonds, factors):
+            bonds.update({(offset + i, offset + j): label
+                          for (i, j), label in block.items()})
             offset += n
-        return cls(m)
+        return cls._from_bonds(offset, bonds)
 
     @classmethod
     def from_text(cls, text: str) -> "CoxeterMatrix":
@@ -126,19 +125,21 @@ class CoxeterMatrix:
             raise ValueError(
                 f"expected rank followed by {expected} upper-triangular entries"
             )
-        m = [[2] * rank for _ in range(rank)]
-        k = 0
-        for i in range(rank):
-            m[i][i] = 1
-            for j in range(i + 1, rank):
-                m[i][j] = m[j][i] = entries[k]
-                k += 1
-        return cls(m)
+        return cls._from_bonds(rank, dict(zip(itertools.combinations(range(rank), 2),
+                                              entries)))
 
     @classmethod
     def from_file(cls, path: str) -> "CoxeterMatrix":
         with open(path, encoding="utf-8") as fh:
             return cls.from_text(fh.read())
+
+    @classmethod
+    def _from_bonds(cls, rank: int, bonds: dict[tuple[int, int], int]) -> "CoxeterMatrix":
+        """1 on the diagonal, bonds[i, j] at (i, j) and (j, i), 2 elsewhere."""
+        m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+        for (i, j), label in bonds.items():
+            m[i][j] = m[j][i] = label
+        return cls(m)
 
 
 # an ASCII numeral without sign or leading zero; every pattern is fullmatched
@@ -262,17 +263,22 @@ def _graph_automorphisms(m, subset: frozenset[int]) -> list[tuple[int, ...]]:
 class CoxeterSystem:
     """A fully enumerated finite Coxeter system.  Build with `build`.
 
+    `tree[w]` = (u, s) says that w = u s was first reached from u, so
+    w's canonical word is u's followed by s; `first[w]` is its first
+    letter.  Both are None at e.
+
     Immutable after construction except the lazily filled coset table
     and graph automorphism maps per subset, whose entries are
     deterministic values.
     """
 
-    def __init__(self, matrix: CoxeterMatrix, lengths, words, right, left, inv):
+    def __init__(self, matrix: CoxeterMatrix, lengths, tree, first, right, left, inv):
         self.matrix = matrix
         self.rank = matrix.rank
         self.size = len(lengths)
         self.lengths: tuple[int, ...] = lengths
-        self.words: tuple[tuple[int, ...], ...] = words
+        self.tree: tuple[tuple[int, int] | None, ...] = tree
+        self.first: tuple[int | None, ...] = first
         self._right = right
         self._left = left
         self._inv = inv
@@ -298,8 +304,7 @@ class CoxeterSystem:
         raise ValueError(f"unknown generator label {label!r}")
 
     def word_str(self, w: int) -> str:
-        self._check_element(w)
-        word = self.words[w]
+        word = self.reduced_word(w)
         return ".".join(self.gen_label(s) for s in word) if word else "e"
 
     def parse_element(self, text: str) -> int:
@@ -329,9 +334,14 @@ class CoxeterSystem:
         return self.lengths[w]
 
     def reduced_word(self, w: int) -> tuple[int, ...]:
-        """The lexicographically smallest reduced word for w."""
+        """The lexicographically smallest reduced word for w, spelled
+        backwards along the discovery tree."""
         self._check_element(w)
-        return self.words[w]
+        tree, word = self.tree, []
+        while w:
+            w, s = tree[w]
+            word.append(s)
+        return tuple(reversed(word))
 
     def mult_gen(self, w: int, s: int, side: str = "right") -> int:
         table = self._table(side)
@@ -341,13 +351,15 @@ class CoxeterSystem:
         return table[w][s]
 
     def mult(self, w: int, u: int) -> int:
-        """The product w * u (replays u's canonical word)."""
+        """The product w * u: walking w's tree path multiplies u on the
+        left by the letters of w's canonical word, last letter first."""
         self._check_element(w)
         self._check_element(u)
-        right = self._right
-        for s in self.words[u]:
-            w = right[w][s]
-        return w
+        tree, left = self.tree, self._left
+        while w:
+            w, s = tree[w]
+            u = left[u][s]
+        return u
 
     def inverse(self, w: int) -> int:
         self._check_element(w)
@@ -375,12 +387,12 @@ class CoxeterSystem:
         if not (0 <= x < self.size and 0 <= y < self.size):
             for w in (x, y):
                 self._check_element(w)
-        lengths, left, words = self.lengths, self._left, self.words
+        lengths, left, first = self.lengths, self._left, self.first
         while x != y and x != 0:
             lx = lengths[x]
             if lx >= lengths[y]:
                 return False
-            s = words[y][0]
+            s = first[y]
             y = left[y][s]
             sx = left[x][s]
             if lengths[sx] < lx:
@@ -392,31 +404,24 @@ class CoxeterSystem:
     def graph_automorphisms(self, subset: Iterable[int] = ()) -> tuple[tuple[int, ...], ...]:
         """Index maps of a generating set of the automorphisms p of the
         Coxeter graph with p(I) = I: p is a label-preserving permutation
-        of the generators, extended to W by phi(u s) = phi(u) p(s).
+        of the generators, extended to W by phi(u s) = phi(u) p(s) along
+        the discovery tree.
 
         For each i < j the set holds one such p that fixes s1 .. s_i and
         sends s_{i+1} to s_{j+1}, where there is one: generators of each
         stabiliser of the chain, so at most rank (rank - 1) / 2 maps and
         never the whole group (A1 x ... x A1 has rank! automorphisms).
-        Computed on first use per subset, from `_right` alone, and cached.
+        Computed on first use per subset and cached.
         """
         key = self.subset(subset)
         maps = self._automorphisms.get(key)
         if maps is None:
-            perms = _graph_automorphisms(self.matrix.m, key)
-            lengths, right = self.lengths, self._right
-            # w = u s for its first right descent s, u earlier than w
-            parents = []
-            for w in range(1, self.size) if perms else ():
-                lw = lengths[w]
-                for s, u in enumerate(right[w]):
-                    if lengths[u] < lw:
-                        parents.append((u, s))
-                        break
+            right, steps = self._right, self.tree[1:]
             maps = []
-            for p in perms:
+            for p in _graph_automorphisms(self.matrix.m, key):
+                # each u comes before its w = u s
                 phi = [0]
-                for u, s in parents:
+                for u, s in steps:
                     phi.append(right[phi[u]][p[s]])
                 maps.append(tuple(phi))
             maps = self._automorphisms[key] = tuple(maps)
@@ -492,14 +497,13 @@ def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
 
     # Elements are extended on the right in index order, generators in
     # order, so each w is first reached from the (u, s) that minimises
-    # (words[u], s).  words[u] + (s,) is then w's lexicographically
-    # smallest reduced word, and discovery order is the canonical order.
-    # The words are spelled out after the loop, so that a group over the
-    # cap (I2(m) with 2m > cap) fails before words of length ~cap/2 exist.
+    # (word(u), s), word(u) the canonical word of u.  word(u) + (s,) is
+    # then w's lexicographically smallest reduced word, and discovery
+    # order is the canonical order; `tree` keeps each (u, s).
     keys = [identity]
     index = {identity: 0}
     lengths = [0]
-    reached_from = [(0, 0)]
+    tree = [None]
     right = []
     for u, key in enumerate(keys):
         row = []
@@ -515,22 +519,22 @@ def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
                     )
                 keys.append(k2)
                 lengths.append(lengths[u] + 1)
-                reached_from.append((u, s))
+                tree.append((u, s))
             row.append(w)
         right.append(tuple(row))
 
-    # w = u s is filled from u, which comes earlier: t w = (t u) s, and
+    # w = u s is filled from u, which comes earlier: w begins with the
+    # first letter of u (with s if u = e), t w = (t u) s, and
     # w^-1 = s u^-1, where u^-1 is as long as u and so comes before w
-    words: list[tuple[int, ...]] = [()]
+    first = [None]
     left = [right[0]]
     inv = [0]
-    for u, s in reached_from[1:]:
-        words.append(words[u] + (s,))
+    for u, s in tree[1:]:
+        first.append(first[u] if u else s)
         left.append(tuple(right[tu][s] for tu in left[u]))
         inv.append(left[inv[u]][s])
-    return CoxeterSystem(
-        matrix, tuple(lengths), tuple(words), tuple(right), tuple(left), tuple(inv)
-    )
+    return CoxeterSystem(matrix, tuple(lengths), tuple(tree), tuple(first),
+                         tuple(right), tuple(left), tuple(inv))
 
 
 def build_named(name: str, cap: int = DEFAULT_CAP) -> CoxeterSystem:

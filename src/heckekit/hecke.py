@@ -211,7 +211,7 @@ class KLTable(dict):
     over z < sx with sz < z, or sz = z in the spherical module.
     `left[w][s]` is sw, or w where sw is not in W^I, and there
     KL_s P_w = (v + v^-1) P_w in M (`spherical`) and 0 in N (never in H).
-    The table reads W only through `lengths`, first letters, `word_str`
+    The table reads W only through `lengths`, `first`, `word_str`
     and `maps`, index maps g with h_{g(y),g(x)} = h_{y,x} (module
     docstring).  On the first miss in an orbit of the group they generate,
     a breadth-first search from its minimum m gives every other y a source
@@ -264,7 +264,7 @@ class KLTable(dict):
         lengths = sys.lengths
         left = self.left
         spherical = self.spherical
-        s = sys.words[x][0]
+        s = sys.first[x]
         y = left[x][s]
         below = self[y]
         upper: dict[int, int] = {}
@@ -425,7 +425,7 @@ class HeckeAlgebra:
         out: dict[int, LaurentPoly] = {}
         for y, d in h2.terms.items():
             cur = {w: c * d for w, c in h1.terms.items()}
-            for s in sys.words[y]:
+            for s in sys.reduced_word(y):
                 cur = self._gen_terms(cur, s, sys._right, _VINV_MINUS_V, ZERO)
             for w, c in cur.items():
                 _acc(out, w, c)
@@ -443,7 +443,7 @@ class HeckeAlgebra:
         if out is None:
             # bar(H_w) = H_s^-1 * bar(H_{s w})
             sys = self.system
-            s = sys.words[w][0]
+            s = sys.first[w]
             rest = self._bar_of_basis(sys._left[w][s])
             # few distinct values over many entries: one object for each
             polys = self._bar_polys

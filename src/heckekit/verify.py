@@ -17,11 +17,10 @@ check-by-check loop.
 K = `PACK_BITS` (`laurent.pack_shifted`): one int add per term, and one
 int multiply per distinct coefficient and index.  A sum is exact in the
 packing when (largest operand coefficient)^2 * terms * (degree + 1) <
-2^(K-1), and then equal ints are equal polynomials.  `inversion` picks
-its kernel once per module: packed sums when every operand packs within
-this bound, else `lincomb` over the same columns.  A `bar-invariance`
-unit that fails, has an operand that does not pack, or breaks the bound
-replays through `HeckeAlgebra.bar`.
+2^(K-1), and then equal ints are equal polynomials.  Each picks its
+kernel once, `inversion` per module and `bar-invariance` per algebra:
+packed sums when every operand packs within this bound, else `lincomb`
+over the same columns, or `HeckeAlgebra.bar` of each KL element.
 """
 
 from __future__ import annotations
@@ -139,36 +138,31 @@ def _packed_lincomb(pairs: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
     return {z: m for z, m in out.items() if m}
 
 
-def _packed_bar_fixed(algebra: HeckeAlgebra, pk: _Packer,
-                      bars: dict[int, dict[int, int]], x: int,
-                      terms: dict[int, LaurentPoly]) -> bool:
-    """Whether v^l(x) bar(KL_x) = v^l(x) KL_x for KL_x = sum_w h_{w,x} H_w,
-    summed as packed ints: sum_w v^(l(x)-l(w)) bar(h_{w,x}) (the digits of
-    h_{w,x} reversed) times v^l(w) bar(H_w) (`bars`, filled as needed)."""
-    lengths = algebra.system.lengths
-    lx = lengths[x]
-    try:
-        for w in terms:
-            if w not in bars:
-                bars[w] = {y: pk(a, lengths[w])
-                           for y, a in algebra._bar_of_basis(w).items()}
-        pairs = [(pk(p, lx - lengths[w], True), bars[w]) for w, p in terms.items()]
-        target = {y: pk(p, lx) for y, p in terms.items()}
-    except ValueError:
-        return False
-    return pk.exact(len(pairs)) and _packed_lincomb(pairs) == target
-
-
 def suite_bar_invariance(algebra: HeckeAlgebra, **_) -> SuiteResult:
-    """bar(KL_x) = KL_x and h_{y,x} in vZ[v] for y < x."""
+    """bar(KL_x) = KL_x and h_{y,x} in vZ[v] for y < x.
+
+    v^l(x) bar(KL_x) = sum_w v^(l(x)-l(w)) bar(h_{w,x}) v^l(w) bar(H_w)
+    is summed as packed ints (the digits of h_{w,x} reversed) when every
+    operand packs within the bound for the longest sum; otherwise each
+    KL_x goes through `HeckeAlgebra.bar`."""
     res = SuiteResult("bar-invariance")
     sys = algebra.system
+    lengths = sys.lengths
+    kls = [algebra.kl_basis(x) for x in range(sys.size)]
     pk = _Packer()
-    bars: dict[int, dict[int, int]] = {}
-    for x in range(sys.size):
-        kl = algebra.kl_basis(x)
-        res.check(_packed_bar_fixed(algebra, pk, bars, x, kl.terms)
-                  or algebra.bar(kl) == kl,
+    try:
+        bars = {w: {y: pk(a, lengths[w]) for y, a in algebra._bar_of_basis(w).items()}
+                for w in range(sys.size)}
+        # a sum is read only if every operand, all packed by now, keeps the bound
+        fixed = [_packed_lincomb([(pk(p, lengths[x] - lengths[w], True), bars[w])
+                                  for w, p in kl.terms.items()])
+                 == {y: pk(p, lengths[x]) for y, p in kl.terms.items()}
+                 for x, kl in enumerate(kls)]
+        packed = pk.exact(max(len(kl.terms) for kl in kls))
+    except ValueError:
+        packed = False
+    for x, kl in enumerate(kls):
+        res.check(fixed[x] if packed else algebra.bar(kl) == kl,
                   lambda: f"KL[{sys.word_str(x)}] is not bar-invariant")
         for y, p in kl.terms.items():
             if y == x:
@@ -284,8 +278,8 @@ def suite_pairing(algebra: HeckeAlgebra, **_) -> SuiteResult:
     the trace eps(H_{x^-1} H_y), multiplied out in the standard basis,
     and the pairing (H_x, H_y) both equal delta_{x,y}.
 
-    H_{x^-1} H_y is built one generator past H_{x^-1} H_{ys}, ys the
-    parent of y in the prefix tree of the canonical reduced words.  Let
+    H_{x^-1} H_y is built one generator past H_{x^-1} H_u, y = u s in
+    the discovery tree of the system (`CoxeterSystem.tree`).  Let
     depth(y) be the most letters any descendant of y adds to it.  A step
     H_w H_s only reaches H_{ws} and H_w, so it changes the length of a
     term by at most 1: a term H_w of H_{x^-1} H_y with l(w) > depth(y)
@@ -293,18 +287,18 @@ def suite_pairing(algebra: HeckeAlgebra, **_) -> SuiteResult:
     trace stays exact."""
     res = SuiteResult("pairing")
     sys = algebra.system
-    lengths, n = sys.lengths, sys.size
+    lengths, n, tree = sys.lengths, sys.size, sys.tree
     # indices ascend with length, so each child follows its parent
-    parent = [0] + [sys._right[y][sys.words[y][-1]] for y in range(1, n)]
     depth = [0] * n
     for y in range(n - 1, 0, -1):
-        depth[parent[y]] = max(depth[parent[y]], depth[y] + 1)
+        u = tree[y][0]
+        depth[u] = max(depth[u], depth[y] + 1)
     for x in range(n):
         hx = algebra.std(x)
         prods = [{sys._inv[x]: ONE}]
         for y in range(1, n):
-            terms = algebra._gen_terms(prods[parent[y]], sys.words[y][-1],
-                                       sys._right, _VINV_MINUS_V, ZERO)
+            u, s = tree[y]
+            terms = algebra._gen_terms(prods[u], s, sys._right, _VINV_MINUS_V, ZERO)
             prods.append({w: c for w, c in terms.items()
                           if lengths[w] <= depth[y]})
         traces = [p.get(0, ZERO) for p in prods]

@@ -76,7 +76,7 @@ def kl_basis_via_gen_mult(algebra, x):
     sys = algebra.system
     if x == 0:
         return algebra.unit()
-    s = sys.words[x][0]
+    s = sys.reduced_word(x)[0]
     y = sys.mult_gen(x, s, "left")
     below = kl_basis_via_gen_mult(algebra, y)
     result = algebra.kl_gen_mult(s, below)
@@ -135,7 +135,7 @@ def bruhat_lower_set(system, y):
     subsequence of the canonical word of y therefore yields exactly the
     lower Bruhat interval.
     """
-    word = system.words[y]
+    word = system.reduced_word(y)
     out = set()
     for mask in range(1 << len(word)):
         w = 0
@@ -215,7 +215,7 @@ def _eps_row(algebra, w):
     prods = [{w: ONE}]
     row = {0: ONE} if w == 0 else {}
     for y in range(1, sys.size):
-        s = sys.words[y][-1]
+        s = sys.reduced_word(y)[-1]
         prods.append(_times_gen(sys, prods[sys._right[y][s]], s))
         c = prods[y].get(0)
         if c:

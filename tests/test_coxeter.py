@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -135,8 +136,8 @@ def test_six_bond_in_rank_three(sys_of):
     block = W.subgroup([0, 1])
     assert len(block) == 12
     for w in block:
-        w2 = W2.element_from_word(W.words[w])
-        assert W2.words[w2] == W.words[w]
+        w2 = W2.element_from_word(W.reduced_word(w))
+        assert W2.reduced_word(w2) == W.reduced_word(w)
         assert W2.length(w2) == W.length(w)
 
 
@@ -179,9 +180,10 @@ def test_group_too_large():
     )
 
 
-# sha256 of repr((lengths, words, _right, _left, _inv)), recorded before
-# build became a single canonical-order pass; any change in the order of
-# the elements or in a table shows here.
+# sha256 of repr((lengths, words, _right, _left, _inv)), words the tuple
+# of every canonical word, recorded before build became a single
+# canonical-order pass; any change in the order of the elements, in a
+# word or in a table shows here.
 ENUMERATION_DIGESTS = {
     "A1": "153ddade4db409e91620aced911f58193529d1ffd98e51eaa02ebde086e1f323",
     "A1xA1": "0021e8c03baabfc800a231bd04cf557458822e619ecccd92c9fcf27e4e5250a1",
@@ -207,15 +209,16 @@ ENUMERATION_DIGESTS = {
 @pytest.mark.parametrize("name", ENUMERATION_DIGESTS)
 def test_enumeration_digest(sys_of, name):
     W = sys_of(name)
-    tables = (W.lengths, W.words, W._right, W._left, W._inv)
+    words = tuple(map(W.reduced_word, range(W.size)))
+    tables = (W.lengths, words, W._right, W._left, W._inv)
     digest = hashlib.sha256(repr(tables).encode()).hexdigest()
     assert digest == ENUMERATION_DIGESTS[name]
 
 
 def test_enumeration_order(sys_of):
     W = sys_of("A3")
-    assert W.lengths[0] == 0 and W.words[0] == ()
-    pairs = [(W.lengths[w], W.words[w]) for w in range(W.size)]
+    assert W.lengths[0] == 0 and W.reduced_word(0) == ()
+    pairs = [(W.lengths[w], W.reduced_word(w)) for w in range(W.size)]
     assert pairs == sorted(pairs)
     assert len(set(pairs)) == W.size
 
@@ -226,12 +229,36 @@ def test_words_replay_and_inverse(sys_of):
         for w in range(W.size):
             word = W.reduced_word(w)
             assert len(word) == W.length(w)
+            assert W.first[w] == (word[0] if word else None)
             u = 0
             for s in word:
                 u = W.mult_gen(u, s, "right")
             assert u == w
             assert W.inverse(W.inverse(w)) == w
             assert W.length(W.inverse(w)) == W.length(w)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "I2(5)", "A1xA2"])
+def test_mult_matches_concatenated_words(sys_of, name):
+    # mult walks the tree path of w, multiplying u on the left
+    W = sys_of(name)
+    for w in range(W.size):
+        for u in range(W.size):
+            assert W.mult(w, u) == W.element_from_word(W.reduced_word(w)
+                                                       + W.reduced_word(u))
+
+
+def test_rank2_build_memory_is_linear():
+    # with a stored tuple per canonical word this build peaked at 71 MB;
+    # the discovery tree takes memory linear in |W|
+    tracemalloc.start()
+    try:
+        W = build(CoxeterMatrix.from_name("I2(3000)"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.size == 6000 and len(W.reduced_word(W.longest)) == 3000
+    assert peak < 8 << 20, f"{peak / (1 << 20):.1f} MB"
 
 
 def test_mult_changes_length_by_one(sys_of):
@@ -369,7 +396,7 @@ def test_graph_automorphisms_generate_the_stabiliser(sys_of, name):
             assert _closure(perms, n) == {p for p in every
                                           if {p[s] for s in subset} == set(subset)}
             for p, phi in zip(perms, maps):
-                assert phi == tuple(W.element_from_word(p[s] for s in W.words[w])
+                assert phi == tuple(W.element_from_word(p[s] for s in W.reduced_word(w))
                                     for w in range(W.size))
 
 

@@ -67,7 +67,7 @@ def test_generator_rules_match_products(alg_of, name):
     gens = [W.element_from_word([s]) for s in W.gens()]
     for w in range(W.size):
         expected = H.unit()
-        for s in W.words[w]:
+        for s in W.reduced_word(w):
             expected = expected * H.elt({gens[s]: 1, 0: V - V_INV})
         assert H.elt(H._bar_of_basis(w)) == expected, (name, w)
         for s in W.gens():
@@ -477,7 +477,7 @@ def test_kl_recursion_runs_once_per_orbit(name):
     modules = [H.parabolic(subset) for size in range(1, W.rank + 1)
                for subset in itertools.combinations(range(W.rank), size)]
     seen = set()
-    W.words = _Recording(W.words, seen)
+    W.first = _Recording(W.first, seen)
     for x in range(W.size):
         H.kl_basis(x)
     assert seen == _orbit_minima(H._kl.maps, range(W.size))
@@ -565,7 +565,7 @@ def _corrupt_descent_entry(H, bad, among=None):
     (default all of W but e) with such a w; return x."""
     W = H.system
     for x in among or range(1, W.size):
-        s = W.words[x][0]
+        s = W.first[x]
         y = W._left[x][s]
         terms = H.kl_basis(y).terms
         for w in terms:
@@ -626,7 +626,7 @@ def test_corrupted_fixed_entry_of_spherical_module_raises():
     H = HeckeAlgebra(build_named("B3"))
     M = H.parabolic([0])
     for x in M.reps[1:]:
-        s = H.system.words[x][0]
+        s = H.system.first[x]
         y = M._left[x][s]
         terms = M.kl_basis(y).terms
         fixed = [w for w in terms if M._left[w][s] == w]
@@ -645,7 +645,7 @@ def test_corrupted_entry_of_antispherical_module_raises():
     W = H.system
     M = H.parabolic([0])
     for m in M.reps[1:]:
-        s = W.words[m][0]
+        s = W.first[m]
         y = M._left[m][s]
         terms = M._nkl[y]
         descents = [w for w in terms if W.lengths[M._left[w][s]] < W.lengths[w]]

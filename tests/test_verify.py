@@ -455,8 +455,9 @@ def test_pinned_fault(case):
 # inversion sums the columns of a module as packed ints, or through
 # lincomb (once per column of each identity, so twice per rep) when an
 # operand does not pack or the longest column breaks the coefficient
-# bound; a bar-invariance unit that fails in the packing, does not pack
-# or breaks the bound replays through HeckeAlgebra.bar.
+# bound; bar-invariance likewise sums every KL element as packed ints,
+# or takes each through HeckeAlgebra.bar when an operand of the algebra
+# does not pack or the longest sum breaks the bound.
 
 def _count_replays(monkeypatch):
     calls = {"lincomb": 0, "bar": 0}
