@@ -33,10 +33,10 @@ A map g of W that commutes with bar and keeps the degree bound maps each
 KL_x to KL_{g(x)}, so h_{g(y),g(x)} = h_{y,x} (ibid.).  Each automorphism
 of the Coxeter graph is one; so is the anti-involution a: H_w -> H_{w^-1}
 of H, and in the modules every automorphism with p(I) = I, which keeps
-W^I and Deodhar's three cases.  A table runs the recursion only at the
-minimum of each orbit of the group its maps generate, and reads every
-other KL_x off a neighbour in the orbit: F4 runs it for 344 of its 1,152
-elements, D5 for 653 of 1,920 and A6 for 1,387 of 5,040.
+W^I and Deodhar's three cases.  A table finds its maps on first use,
+runs the recursion only at the minimum of each orbit of the group they
+generate, and reads every other KL_x off a neighbour in the orbit: F4
+runs it for 344 of 1,152 elements, D5 for 653 of 1,920, A6 for 1,387.
 
 Off the diagonal every h there lies in vZ[v], so the recursion holds each
 coefficient as the one int n = p(2^K), K = `PACK_BITS` (Kronecker
@@ -51,6 +51,7 @@ which bounds every coefficient of KL_s KL_{sx} - sum mu KL_z.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, Mapping
 
 from .coxeter import CoxeterSystem
@@ -213,11 +214,11 @@ class KLTable(dict):
     KL_s P_w = (v + v^-1) P_w in M (`spherical`) and 0 in N (never in H).
     The table reads W only through `lengths`, `first`, `word_str`
     and `maps`, index maps g with h_{g(y),g(x)} = h_{y,x} (module
-    docstring).  On the first miss in an orbit of the group they generate,
-    a breadth-first search from its minimum m gives every other y a source
-    (u, g) with g(u) = y and u nearer to m.  Only m runs the recursion;
-    each y is read off as {g(w): h_{w,u}}, the same interned values under
-    mapped keys, so each x still comes by one route, decided by index.
+    docstring) found from `subset` on first use.  On the first miss in an
+    orbit of the group they generate, a breadth-first search from its
+    minimum m gives every other y a source (u, g) with g(u) = y, u nearer
+    to m.  Only m runs the recursion; each y is read off as {g(w): h_{w,u}},
+    the same interned values under mapped keys: one route per x, by index.
 
     By the descent identity h_{w,u} = v h_{sw,u} for sw > w (Kazhdan-Lusztig
     1979, P_{y,w} = P_{sy,w}), only the coefficients at w with sw <= w
@@ -233,15 +234,22 @@ class KLTable(dict):
     """
 
     def __init__(self, system: CoxeterSystem, left, spherical: bool,
-                 packing: Packing, maps=()):
+                 packing: Packing, subset: frozenset[int] | None = None):
         super().__init__()
         self.system = system
         self.left = left
         self.spherical = spherical
         self.packing = packing
-        self.maps = maps
+        self.subset = subset
         # per walked orbit: None at its minimum, (u, g) with g[u] = y elsewhere
         self._sources: dict[int, tuple | None] = {}
+
+    @functools.cached_property
+    def maps(self) -> tuple[tuple[int, ...], ...]:
+        sys, subset = self.system, self.subset
+        if subset is None:
+            return ()
+        return (sys._inv,) * (not subset) + sys.graph_automorphisms(subset)
 
     def __missing__(self, x: int) -> dict[int, LaurentPoly]:
         pk = self.packing
@@ -361,8 +369,7 @@ class HeckeAlgebra:
         self._bar_basis: dict[int, dict[int, LaurentPoly]] = {0: {0: ONE}}
         self._bar_polys: dict[LaurentPoly, LaurentPoly] = {ONE: ONE}
         self._packing = Packing()
-        self._kl = KLTable(system, system._left, False, self._packing,
-                           (system._inv, *system.graph_automorphisms()))
+        self._kl = KLTable(system, system._left, False, self._packing, frozenset())
         self._parabolic: dict[frozenset[int], object] = {}
 
     # -- constructors -------------------------------------------------------
@@ -370,8 +377,7 @@ class HeckeAlgebra:
     def elt(self, terms: Mapping[int, LaurentPoly | int]) -> HeckeElt:
         out: dict[int, LaurentPoly] = {}
         for w, c in terms.items():
-            if not 0 <= w < self.system.size:
-                raise ValueError(f"element index {w} out of range")
+            self.system._check_element(w)
             p = _as_poly(c)
             if p:
                 out[w] = p
@@ -385,8 +391,7 @@ class HeckeAlgebra:
 
     def std(self, w: int) -> HeckeElt:
         """The standard basis element H_w."""
-        if not 0 <= w < self.system.size:
-            raise ValueError(f"element index {w} out of range")
+        self.system._check_element(w)
         return HeckeElt(self, {w: ONE})
 
     # -- multiplication -------------------------------------------------------
@@ -461,8 +466,7 @@ class HeckeAlgebra:
 
     def kl_basis(self, x: int) -> HeckeElt:
         """KL_x, the x entry of the KL table over all of W."""
-        if not 0 <= x < self.system.size:
-            raise ValueError(f"element index {x} out of range")
+        self.system._check_element(x)
         return HeckeElt(self, self._kl[x])
 
     def kl_poly(self, y: int, x: int) -> LaurentPoly:

@@ -8,8 +8,10 @@ KL_s N_x = 0 where sx is not in W^I (Deodhar, J. Algebra 111 (1987);
 Soergel, Represent. Theory 1 (1997), §3).  The KL bases of both are
 `KLTable`s over W^I, the recursion of H (hecke.py) with the action above,
 so no element of H is computed; for I = {} both modules are H and read
-its table.  PKL_x embeds as KL_{x w_I}.  The inverse parabolic KL
-polynomials, the solution g_{x,z} of
+its table.  PKL_x embeds as KL_{x w_I}.  Every coset fact is read off
+rep[w] = min w W_I: W^I is where rep[x] = x, KL_s reads rep[sx], rep[w0 x]
+is w0 x w_I, and P_y embeds onto each H_w with rep[w] = y.  The inverse
+parabolic KL polynomials, the solution g_{x,z} of
 
     sum_y (-1)^(l(y) - l(x)) g_{x,y} h_{y,z} = delta_{x,z},
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .hecke import HeckeAlgebra, HeckeElt, KLTable, TermElt, _acc, _own
+from .hecke import HeckeAlgebra, HeckeElt, KLTable, TermElt, _own
 from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, lincomb, vpow
 
 _V_PLUS_VINV = V + V_INV
@@ -54,28 +56,24 @@ class ParabolicModule:
         self.w_long = sys.longest_in(self.subset)
         self.shift = sys.lengths[self.w_long]
         self.reps = sys.min_reps(self.subset)
-        self._rep_set = frozenset(self.reps)
-        self._wi_elems = sys.subgroup(self.subset)
-        # r -> w0 r w_I, an order-reversing involution of W^I
-        self._opposite = {r: sys.mult(sys.mult(sys.longest, r), self.w_long)
-                          for r in self.reps}
+        self._rep = rep = sys._coset_reps(self.subset)
+        # r -> w0 r w_I = rep[w0 r], an order-reversing involution of W^I
+        self._opposite = {r: rep[sys.mult(sys.longest, r)] for r in self.reps}
         # KL_s and the KL tables of M and N, N's the one store of g: H's for I = {}
         self._left = sys._left
         self._pkl = self._nkl = algebra._kl
         if self.subset:
-            # KL_s on W^I for the recursion: sw, or w where sw is not in W^I
-            self._left = {w: tuple(sw if sw in self._rep_set else w
-                                   for sw in sys._left[w]) for w in self.reps}
-            # the automorphisms with p(I) = I keep W^I and Deodhar's cases
-            maps = sys.graph_automorphisms(self.subset)
-            self._pkl = KLTable(sys, self._left, True, algebra._packing, maps)
-            self._nkl = KLTable(sys, self._left, False, algebra._packing, maps)
+            # KL_s on W^I: sw, or w where sw = w t with t in I (Deodhar 1987)
+            self._left = {w: tuple(rep[sw] for sw in sys._left[w]) for w in self.reps}
+            self._pkl = KLTable(sys, self._left, True, algebra._packing, self.subset)
+            self._nkl = KLTable(sys, self._left, False, algebra._packing, self.subset)
 
     def subset_labels(self) -> list[str]:
         return [self.system.gen_label(s) for s in sorted(self.subset)]
 
     def _check_rep(self, w: int) -> None:
-        if w not in self._rep_set:
+        self.system._check_element(w)
+        if self._rep[w] != w:
             raise ValueError(
                 f"{self.system.word_str(w)} is not a minimal coset "
                 f"representative for I = {{{', '.join(self.subset_labels())}}}"
@@ -112,18 +110,16 @@ class ParabolicModule:
     # -- embedding into the Hecke algebra ----------------------------------------
 
     def embed(self, p: ParabolicElt) -> HeckeElt:
-        """Expand in the standard basis of H.
+        """Expand in the standard basis of H, one pass over W.
 
         For y in W^I the lengths l(y u) = l(y) + l(u) add over u in W_I,
-        so H_y KL_{w_I} = sum_u v^(l(w_I) - l(u)) H_{y u} term by term.
+        so H_y KL_{w_I} = sum_u v^(l(w_I) - l(u)) H_{y u}: each H_w takes
+        the coefficient of its rep y = rep[w] times v^(l(w_I) - l(w) + l(y)).
         """
-        sys = self.system
-        out: dict[int, LaurentPoly] = {}
-        for y, c in p.terms.items():
-            for u in self._wi_elems:
-                w = sys.mult(y, u)
-                _acc(out, w, c * vpow(self.shift - sys.lengths[u]))
-        return HeckeElt(self.algebra, out)
+        terms, lengths = p.terms, self.system.lengths
+        return HeckeElt(self.algebra, {
+            w: terms[y] * vpow(self.shift - lengths[w] + lengths[y])
+            for w, y in enumerate(self._rep) if y in terms})
 
     def extract(self, h: HeckeElt) -> ParabolicElt:
         """Invert embed on the ideal, reading the H_y coefficients over
@@ -131,7 +127,7 @@ class ParabolicModule:
         NotInIdeal otherwise."""
         down = vpow(-self.shift)
         p = ParabolicElt(self, {y: c * down for y, c in h.terms.items()
-                                if y in self._rep_set})
+                                if self._rep[y] == y})
         if self.embed(p) != h:
             raise NotInIdeal("element is not in the ideal H * KL_{w_I}")
         return p

@@ -14,7 +14,9 @@ instead of the recursions over W^I in the two parabolic modules, and
 the bar involution and the expansion of characters by one polynomial
 product and sum per term instead of the library's sparse exponent-map
 products, and the positive Rouquier shapes by a Bruhat scan of W^I with
-one g_{y,x} per pair instead of the library's one column of g.
+one g_{y,x} per pair instead of the library's one column of g, and the
+embedding of the parabolic module by one product y u per term over W_I
+instead of one pass over the coset table.
 """
 
 import functools
@@ -85,6 +87,18 @@ def kl_basis_via_gen_mult(algebra, x):
         if m and z != y and s in sys.descents(z, "left"):
             result = result - m * kl_basis_via_gen_mult(algebra, z)
     return result
+
+
+def embed_via_subgroup(module, p):
+    """embed(p) as the sum over y in W^I and u in W_I of
+    p_y v^(l(w_I) - l(u)) H_{y u}, one product y u per term, where the
+    library reads each H_w off the coset table in one pass over W."""
+    sys = module.system
+    out = {}
+    for y, c in p.terms.items():
+        for u in sys.subgroup(module.subset):
+            _acc(out, sys.mult(y, u), c * vpow(module.shift - sys.lengths[u]))
+    return module.algebra.elt(out)
 
 
 def pkl_via_hecke(module, x):

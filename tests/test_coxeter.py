@@ -7,7 +7,7 @@ import pytest
 from heckekit import CoxeterMatrix, GroupTooLarge, UnsupportedBond, build
 from heckekit.laurent import LaurentPoly, ONE, vpow
 
-from oracles import bruhat_lower_set
+from oracles import bruhat_lower_set, embed_via_subgroup
 
 
 def test_matrix_validation(sys_of):
@@ -353,17 +353,28 @@ def test_coset_decompose(sys_of):
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "D4", "F4", "I2(7)", "A1xA2"])
-def test_cosets_match_their_definitions(sys_of, name):
-    # W_I: canonical word only in I; W^I: no right descent in I
-    W = sys_of(name)
+def test_cosets_match_their_definitions(alg_of, name):
+    # W_I: canonical word only in I; W^I: no right descent in I; and each
+    # module's coset quantities, read off the coset table, by products in W
+    H = alg_of(name)
+    W = H.system
     for subset in itertools.chain.from_iterable(
         itertools.combinations(range(W.rank), k) for k in range(W.rank + 1)
     ):
         I = set(subset)
-        assert W.subgroup(subset) == tuple(
-            w for w in range(W.size) if set(W.reduced_word(w)) <= I)
-        assert W.min_reps(subset) == tuple(
-            w for w in range(W.size) if not W.descents(w) & I)
+        wi = tuple(w for w in range(W.size) if set(W.reduced_word(w)) <= I)
+        reps = tuple(w for w in range(W.size) if not W.descents(w) & I)
+        assert W.subgroup(subset) == wi
+        assert W.min_reps(subset) == reps
+        M = H.parabolic(subset)
+        assert M.w_long == wi[-1]
+        for r in reps:
+            assert M._opposite[r] == W.mult(W.mult(W.longest, r), M.w_long)
+            for s in range(W.rank):
+                sw = W.mult_gen(r, s, "left")
+                assert M._left[r][s] == (sw if sw in reps else r)
+        p = M.elt({r: vpow(i % 3) + i for i, r in enumerate(reps)})
+        assert M.embed(p) == embed_via_subgroup(M, p)
 
 
 def _closure(perms, rank):

@@ -5,7 +5,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckekit import HeckeAlgebra, build_named, delta_char, hecke
+from heckekit import (CoxeterMatrix, HeckeAlgebra, build, build_named, delta_char,
+                      hecke)
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 
 from oracles import (bar_solve_kl, bar_via_acc, kl_basis_via_gen_mult,
@@ -511,15 +512,57 @@ def test_module_tables_read_off_orbits_match_plain_recursion(name):
 
 
 def test_symmetry_setup_is_a_generating_set_not_the_group():
-    # Aut of the graph of A1^12 is the symmetric group on 12 letters
+    # Aut of the graph of A1^12 is the symmetric group on 12 letters; the
+    # maps are found on first use, so the bound times that too
     W = build_named("x".join(["A1"] * 12))
     start = time.perf_counter()
     H = HeckeAlgebra(W)
+    maps = H._kl.maps
     assert time.perf_counter() - start < 1.0
-    assert len(H._kl.maps) <= W.rank * (W.rank - 1) // 2 + 1
+    assert len(maps) <= W.rank * (W.rank - 1) // 2 + 1
     top = W.lengths[W.longest]
     assert H.kl_basis(W.longest).terms == {
         y: vpow(top - W.lengths[y]) for y in range(W.size)}
+
+
+def test_symmetries_are_found_on_a_tables_first_use():
+    W = build_named("D4")
+    H = HeckeAlgebra(W)
+    assert W._automorphisms == {}
+    M = H.parabolic([0])
+    assert W._automorphisms == {}
+    for x in M.reps:
+        M.kl_basis(x)
+    assert list(W._automorphisms) == [frozenset({0})]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "A1xA2", "G2xA2", "A2xA2",
+                                  "A1xA1xA1"])
+def test_tables_follow_a_relabelling_of_the_generators(name):
+    # orbit minima, canonical words and r -> w0 r w_I depend on the label
+    # order; H's KL table, PKL and g, read through a relabelling, do not
+    H = HeckeAlgebra(build_named(name))
+    W, n = H.system, H.system.rank
+    m = W.matrix.m
+    perms = [p for p in itertools.permutations(range(n)) if p != tuple(range(n))]
+    for p in random.Random(name).sample(perms, min(3, len(perms))):
+        q = [p.index(a) for a in range(n)]
+        H2 = HeckeAlgebra(build(CoxeterMatrix(
+            [[m[q[a]][q[b]] for b in range(n)] for a in range(n)])))
+        phi = [H2.system.element_from_word(p[s] for s in W.reduced_word(w))
+               for w in range(W.size)]
+
+        def mapped(terms):
+            return {phi[y]: c for y, c in terms.items()}
+
+        for x in range(W.size):
+            assert H2.kl_basis(phi[x]).terms == mapped(H.kl_basis(x).terms), (p, x)
+        for size in range(n + 1):
+            for subset in itertools.combinations(range(n), size):
+                M, M2 = H.parabolic(subset), H2.parabolic(p[s] for s in subset)
+                for x in M.reps:
+                    assert M2.kl_basis(phi[x]).terms == mapped(M.kl_basis(x).terms)
+                    assert M2.inverse_row(phi[x]) == mapped(M.inverse_row(x))
 
 
 def test_kl_coefficients_are_interned():
