@@ -178,7 +178,9 @@ class Packing:
     `packed` maps the id of each interned object back to its packed value,
     `pairs` maps a packed value n to the interned pair (n, n << K) that a
     KL element writes at w and at its partner sw, and `bound` is the
-    largest coefficient size packed so far."""
+    largest coefficient size packed so far.  The characters of Rouquier
+    shapes (rouquier.py) read `packed` and `bound` to sum columns of PKL
+    as packed ints, and change nothing here."""
 
     def __init__(self):
         self.polys: dict[int, LaurentPoly] = {}

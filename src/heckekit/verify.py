@@ -21,6 +21,9 @@ packing when (largest operand coefficient)^2 * terms * (degree + 1) <
 kernel once, `inversion` per module and `bar-invariance` per algebra:
 packed sums when every operand packs within this bound, else `lincomb`
 over the same columns, or `HeckeAlgebra.bar` of each KL element.
+`euler-hom` reads the characters of the shapes through the library's
+`shape_character`, which sums packed columns of PKL in the same way,
+under the bound of the algebra's `Packing` (rouquier.py).
 """
 
 from __future__ import annotations
@@ -262,12 +265,18 @@ def suite_q_monotonicity(algebra: HeckeAlgebra, **_) -> SuiteResult:
     """w >= v implies q(w) >= q(v) for the coset projection, every subset."""
     res = SuiteResult("q-monotonicity")
     sys = algebra.system
-    # the comparable pairs v <= w do not depend on the subset
-    pairs = [(v, w) for v in range(sys.size) for w in range(sys.size)
-             if sys.bruhat_leq(v, w)]
+    # the comparable pairs v <= w do not depend on the subset, and each
+    # projected pair is a pair of W, so its comparability is read off them
+    n = sys.size
+    pairs = [(v, w) for v in range(n) for w in range(n) if sys.bruhat_leq(v, w)]
+    leq = bytearray(n * n)
+    for v, w in pairs:
+        leq[v * n + w] = 1
     for subset, where in _subsets(algebra):
-        proj = {w: sys.project_q(w, subset) for w in range(sys.size)}
-        failed = [(v, w) for v, w in pairs if not sys.bruhat_leq(proj[v], proj[w])]
+        proj = [sys.project_q(w, subset) for w in range(n)]
+        for q in proj:  # as bruhat_leq would, so no index of leq wraps
+            sys._check_element(q)
+        failed = [(v, w) for v, w in pairs if not leq[proj[v] * n + proj[w]]]
         res.add(len(pairs), failed, lambda f: f"{where} projection not "
                 f"monotone at v={sys.word_str(f[0])}, w={sys.word_str(f[1])}")
     return res
@@ -293,8 +302,8 @@ def suite_pairing(algebra: HeckeAlgebra, **_) -> SuiteResult:
     for y in range(n - 1, 0, -1):
         u = tree[y][0]
         depth[u] = max(depth[u], depth[y] + 1)
+    stds = [algebra.std(y) for y in range(n)]
     for x in range(n):
-        hx = algebra.std(x)
         prods = [{sys._inv[x]: ONE}]
         for y in range(1, n):
             u, s = tree[y]
@@ -302,7 +311,7 @@ def suite_pairing(algebra: HeckeAlgebra, **_) -> SuiteResult:
             prods.append({w: c for w, c in terms.items()
                           if lengths[w] <= depth[y]})
         traces = [p.get(0, ZERO) for p in prods]
-        vals = [algebra.pairing(hx, algebra.std(y)) for y in range(n)]
+        vals = [algebra.pairing(stds[x], hy) for hy in stds]
         failed = [y for y, (t, val) in enumerate(zip(traces, vals))
                   if ((t != ONE or val != ONE) if x == y else (t or val))]
         res.add(n, failed, lambda y: (

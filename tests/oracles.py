@@ -14,9 +14,10 @@ instead of the recursions over W^I in the two parabolic modules, and
 the bar involution and the expansion of characters by one polynomial
 product and sum per term instead of the library's sparse exponent-map
 products, and the positive Rouquier shapes by a Bruhat scan of W^I with
-one g_{y,x} per pair instead of the library's one column of g, and the
+one g_{y,x} per pair instead of the library's one column of g, the
 embedding of the parabolic module by one product y u per term over W_I
-instead of one pass over the coset table.
+instead of one pass over the coset table, and the characters of shapes
+by one KL pair per term instead of the library's packed column sums.
 """
 
 import functools
@@ -296,3 +297,12 @@ def f_shape_via_bruhat(module, x):
             by_degree.setdefault(i, []).append((y, i, m))
     terms = {deg: tuple(sorted(entries)) for deg, entries in by_degree.items()}
     return ComplexShape(module, x, terms)
+
+
+def shape_character_via_terms(shape, twist):
+    """sum over terms (y, shift, mult) in degree d of
+    (-1)^d mult v^(twist * shift) PKL_y through `from_kl`, one pair per
+    term, where the library groups the terms by y and sums packed columns."""
+    return shape.module.from_kl(
+        (y, vpow(twist * shift, -mult if deg % 2 else mult))
+        for deg, entries in shape.terms.items() for y, shift, mult in entries)

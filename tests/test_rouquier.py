@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from heckekit import e_shape, euler_hom, f_shape, shape_character
-from heckekit.laurent import ONE, ZERO, div_exact
+from heckekit import HeckeAlgebra, build_named, e_shape, euler_hom, f_shape, shape_character
+from heckekit.laurent import ONE, ZERO, LaurentPoly, div_exact
+from heckekit.parabolic import ParabolicModule
 from heckekit.rouquier import ComplexShape, _kl_sum, mirror_shape
 
-from oracles import f_shape_via_bruhat, signed_inverse_from_decomposition, trace_pairing
+from oracles import (f_shape_via_bruhat, shape_character_via_terms,
+                     signed_inverse_from_decomposition, trace_pairing)
 
 CROSS_ROUTE_TYPES = ["A1xA1", "A2", "B2", "A3", "B3", "I2(5)", "I2(7)"]
 
@@ -105,6 +107,93 @@ def test_mirror_swaps_the_two_shape_sums(alg_of):
                 shape_character(f)
                 e = mirror_shape(f)
                 assert e._bar_char is f._char and e._char is None
+
+
+def _count_from_kl(monkeypatch):
+    calls = []
+    from_kl = ParabolicModule.from_kl
+
+    def counted(self, pairs):
+        calls.append(self)
+        return from_kl(self, pairs)
+
+    monkeypatch.setattr(ParabolicModule, "from_kl", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "A1xA2"])
+def test_packed_shape_sums_match_one_pair_per_term(alg_of, name, monkeypatch):
+    # every shape sum of a clean table is packed, and equals the sum of
+    # one from_kl pair per term
+    H = alg_of(name)
+    calls = _count_from_kl(monkeypatch)
+    for subset in _all_subsets(H.system.rank):
+        M = H.parabolic(subset)
+        for x in M.reps:
+            for shape in (f_shape(M, x), e_shape(M, x)):
+                for twist in (1, -1):
+                    got = _kl_sum(shape, twist)
+                    assert not calls, (subset, x, twist)
+                    assert got == shape_character_via_terms(shape, twist), (subset, x)
+                    calls.clear()
+
+
+def _packing_state(H):
+    pk = H._packing
+    return len(pk.polys), len(pk.packed), len(pk.pairs), pk.bound
+
+
+def test_shape_sums_past_the_bound_take_from_kl(monkeypatch):
+    H = HeckeAlgebra(build_named("B3"))
+    M = H.parabolic([1])
+    top = M.reps[-1]
+    f = f_shape(M, top)
+    for y in M.reps:  # every column filled, so only a sum could add values
+        M.kl_basis(y)
+    shapes = [
+        # the terms of the shape of top, each 2^62 times: the bound fails,
+        # though every coefficient of the sum would pack
+        ComplexShape(M, top, {deg: tuple((y, shift, mult << 62) for y, shift, mult in e)
+                              for deg, e in f.terms.items()}),
+        # one term 2^64 PKL_top, whose packed sum would read as v PKL_top
+        ComplexShape(M, top, {0: ((top, 0, 1 << 64),)}),
+    ]
+    state = _packing_state(H)
+    calls = _count_from_kl(monkeypatch)
+    for shape in shapes:
+        for twist in (1, -1):
+            got = _kl_sum(shape, twist)
+            assert calls == [M]
+            assert got == shape_character_via_terms(shape, twist)
+            calls.clear()
+    assert _kl_sum(shapes[0], 1) == M.delta(top) * (1 << 62)
+    assert _kl_sum(shapes[1], 1) == M.kl_basis(top) * (1 << 64)
+    assert _packing_state(H) == state
+
+
+def test_shape_sums_over_a_corrupted_column_take_from_kl(monkeypatch):
+    # v^-1 in an entry of PKL_top: that entry is not interned, so every sum
+    # over the column of top takes from_kl and the Packing is left as it was
+    H = HeckeAlgebra(build_named("A3"))
+    M = H.parabolic([0])
+    top = M.reps[-1]
+    for x in M.reps:
+        shape_character(f_shape(M, x))
+    terms = dict(M.kl_basis(top).terms)
+    terms[0] = terms[0] + LaurentPoly({-1: 1})
+    M._pkl[top] = terms
+    state = _packing_state(H)
+    calls = _count_from_kl(monkeypatch)
+    for x in M.reps:
+        for shape in (f_shape(M, x), e_shape(M, x)):
+            for twist in (1, -1):
+                got = _kl_sum(shape, twist)
+                assert len(calls) == any(y == top for e in shape.terms.values()
+                                         for y, _, _ in e)
+                assert got == shape_character_via_terms(shape, twist), (x, twist)
+                calls.clear()
+    assert _kl_sum(f_shape(M, top), 1) != M.delta(top)
+    assert _packing_state(H) == state
 
 
 def test_degree_one_layer_is_mu_like(alg_of):

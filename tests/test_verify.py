@@ -103,6 +103,15 @@ def test_corrupted_kl_cache_fails_bar_invariance():
     assert not results[0].passed
 
 
+def test_q_monotonicity_rejects_a_projection_out_of_range():
+    # a negative projection would index the comparability table from its end
+    H = HeckeAlgebra(build_named("A3"))
+    sys = H.system
+    sys._coset_reps([0])[sys.longest] = -1
+    with pytest.raises(ValueError, match="element index -1 out of range"):
+        run_suites(H, ["q-monotonicity"])
+
+
 # Pinned fault injection.  Each case warms every table with a clean run,
 # corrupts one cached entry and re-runs the suites over the corrupted
 # cache; the check count, the failure count and every failure message,
@@ -430,6 +439,24 @@ PINNED_FAULTS = {
             "I={s2, s3} inversion fails at x=e, z=s1.s2.s3.s2.s1",
             "I={s2, s3} inversion fails at x=s1, z=s1.s2.s3.s2.s1",
             "I={s2, s3} transposed inversion fails at x=s1.s2.s3.s2.s1, z=s1",
+        ]),
+    ]),
+    # the packed shape sums meet an entry of M that is not interned and
+    # sum through from_kl; recorded with the one-pair-per-term route
+    "A3-euler-hom-unpackable": ("A3", _unpackable_pkl, [
+        ("euler-hom", 1152, 4, [
+            "I={s1} euler_hom fails at x=s2, y=s1.s2.s1.s3.s2",
+            "I={s1} shape character of s1.s2.s1.s3.s2 is not the standard basis element",
+            "I={s1} euler_hom fails at x=s1.s2.s1.s3.s2, y=s2",
+            "I={s1} euler_hom fails at x=s1.s2.s1.s3.s2, y=s1.s2.s1.s3.s2",
+        ]),
+    ]),
+    "B3-euler-hom-unpackable": ("B3", _unpackable_pkl, [
+        ("euler-hom", 4424, 4, [
+            "I={s2, s3} euler_hom fails at x=s1, y=s1.s2.s3.s2.s1",
+            "I={s2, s3} shape character of s1.s2.s3.s2.s1 is not the standard basis element",
+            "I={s2, s3} euler_hom fails at x=s1.s2.s3.s2.s1, y=s1",
+            "I={s2, s3} euler_hom fails at x=s1.s2.s3.s2.s1, y=s1.s2.s3.s2.s1",
         ]),
     ]),
     "A3-bar-oversized": ("A3", _oversized_kl, [
