@@ -145,12 +145,12 @@ def _packed_kl_sum(mod: ParabolicModule, coeffs: dict[int, dict[int, int]],
     sum |mult| = `total` products of a multiplicity and a coefficient of
     the table, so `Packing.bound` * total < 2^(K-1) keeps every digit
     exact; only the nonzero sums are decoded and moved back by v^lo.
-    None where the bound fails or an entry is not interned, which only a
-    corrupted table holds; the `Packing` is only read."""
+    Reading a column may fill it and widen the bound, so the bound is
+    checked once every column has been read.  None where the bound fails
+    or an entry is not interned, which only a corrupted table holds; the
+    `Packing` is only read."""
     pk = mod.algebra._packing
     K = PACK_BITS
-    if pk.bound * total >= 1 << (K - 1):
-        return None
     lo = min([0, *(e for c in coeffs.values() for e in c)])
     packed = pk.packed
     sums: dict[int, int] = {}
@@ -170,6 +170,8 @@ def _packed_kl_sum(mod: ParabolicModule, coeffs: dict[int, dict[int, int]],
                 except KeyError:
                     return None
             sums[w] = sums.get(w, 0) + m
+    if pk.bound * total >= 1 << (K - 1):
+        return None
     move = vpow(lo)
     return {w: unpack(n) * move for w, n in sums.items() if n}
 

@@ -171,6 +171,21 @@ def test_shape_sums_past_the_bound_take_from_kl(monkeypatch):
     assert _packing_state(H) == state
 
 
+@pytest.mark.parametrize("name, subset", [("A1", []), ("B3", [1])])
+def test_shape_sums_on_fresh_tables_check_the_bound_after_reading(name, subset, monkeypatch):
+    # nothing is packed yet, so the bound reads 0 until the sum fills the
+    # column: the guard must see the bound of the values it multiplied
+    H = HeckeAlgebra(build_named(name))
+    M = H.parabolic(subset)
+    top = M.reps[-1]
+    shape = ComplexShape(M, top, {0: ((top, 0, 1 << 64),)})
+    calls = _count_from_kl(monkeypatch)
+    got = _kl_sum(shape, 1)
+    assert calls == [M]
+    assert got == M.kl_basis(top) * (1 << 64)
+    assert got == shape_character_via_terms(shape, 1)
+
+
 def test_shape_sums_over_a_corrupted_column_take_from_kl(monkeypatch):
     # v^-1 in an entry of PKL_top: that entry is not interned, so every sum
     # over the column of top takes from_kl and the Packing is left as it was
