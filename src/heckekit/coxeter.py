@@ -22,7 +22,9 @@ exact realizations:
   for every m;
 * otherwise bond labels in {2, 3, 4, 6} admit an integer Cartan matrix;
   keys are the images of rho = (1, ..., 1), a functional given by its
-  values on the simple roots.
+  values on the simple roots, packed into one integer with one biased
+  32-bit digit per coordinate, so a step is one digit extraction and one
+  product with a packed Cartan row.
 
 Either way distinct elements get distinct keys.  Non-crystallographic
 bonds in rank >= 3 (H3, H4, ...) are rejected.
@@ -38,6 +40,9 @@ from typing import Iterable, Sequence
 from .laurent import LaurentPoly
 
 DEFAULT_CAP = 50_000
+
+# bits per coordinate of a packed chamber key (see `_chamber_action`)
+_KEY_BITS = 32
 
 # products a_st * a_ts of the integer Cartan pairing realizing each bond
 _CRYSTAL_PAIRS = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3)}
@@ -196,12 +201,26 @@ def _named_factor_bonds(factor: str) -> tuple[int, dict[tuple[int, int], int]]:
 
 
 def _chamber_action(matrix: CoxeterMatrix):
-    """(identity key, act) with key(w s) = act(s, key(w)), keys distinct.
+    """(identity key, step) with key(w s) = step(s, key(w)), keys distinct.
 
     The dihedral action on Z/2m is simply transitive.  rho lies inside
     the fundamental chamber, whose images under W are disjoint (Tits;
     Vinberg for non-symmetric Cartan pairs), and s_i moves a functional
     f by f o s_i: f_j -> f_j - a[i][j] f_i.
+
+    In the Cartan realization a key is the integer sum of
+    (f_j + B) << D j with D = _KEY_BITS and bias B = 2^(D-1): each
+    coordinate sits in its own D-bit digit.  The map is linear over Z,
+    so with row_i = sum of a[i][j] << D j the step is
+    key - f_i row_i, where f_i is read off digit i; as a[i][i] = 2,
+    digit i becomes -f_i + B.  The product is exact only while every
+    image coordinate lies in (-B, B), so a step raises GroupTooLarge
+    when |f_i| >= L = 2^(D-3).  `build` steps a key by every generator
+    before it completes the key's row, so all coordinates of an expanded
+    key pass, |f_j| < L; the off-diagonal entries have |a[i][j]| <= 3,
+    so |f_j - a[i][j] f_i| < L + 3L = B and every digit of the image is
+    exact.  Finite types stay far inside: no coordinate exceeds the
+    height of the highest root, 29 in E8.
     """
     n = matrix.rank
     if n == 2:
@@ -220,11 +239,22 @@ def _chamber_action(matrix: CoxeterMatrix):
                 )
             a[i][j], a[j][i] = _CRYSTAL_PAIRS[label]
 
-    def act(i: int, f: tuple[int, ...]) -> tuple[int, ...]:
-        fi = f[i]
-        return tuple([fj - aij * fi for fj, aij in zip(f, a[i])])
+    bias = 1 << _KEY_BITS - 1
+    limit = bias >> 2
+    shifts = [_KEY_BITS * i for i in range(n)]
+    rows = [sum(aij << shift for aij, shift in zip(row, shifts)) for row in a]
+    mask = (1 << _KEY_BITS) - 1
 
-    return (1,) * n, act
+    def step(i: int, key: int) -> int:
+        fi = (key >> shifts[i] & mask) - bias
+        if not -limit < fi < limit:
+            raise GroupTooLarge(
+                f"chamber key coordinate {fi} is past the packed bound "
+                f"|c| < 2^{_KEY_BITS - 3}; the group is infinite"
+            )
+        return key - fi * rows[i]
+
+    return sum((1 + bias) << shift for shift in shifts), step
 
 
 def _graph_automorphisms(m, subset: frozenset[int]) -> list[tuple[int, ...]]:
@@ -488,11 +518,12 @@ def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
     docstring).
 
     Raises UnsupportedBond for non-crystallographic bonds in rank >= 3 and
-    GroupTooLarge when the enumeration exceeds `cap` elements.
+    GroupTooLarge when the enumeration exceeds `cap` elements or, which
+    only an infinite group does, a key leaves the packed range.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    identity, act = _chamber_action(matrix)
+    identity, step = _chamber_action(matrix)
     gens = range(matrix.rank)
 
     # Elements are extended on the right in index order, generators in
@@ -508,7 +539,7 @@ def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
     for u, key in enumerate(keys):
         row = []
         for s in gens:
-            k2 = act(s, key)
+            k2 = step(s, key)
             w = index.get(k2)
             if w is None:
                 w = index[k2] = len(keys)
@@ -531,7 +562,7 @@ def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
     inv = [0]
     for u, s in tree[1:]:
         first.append(first[u] if u else s)
-        left.append(tuple(right[tu][s] for tu in left[u]))
+        left.append(tuple([right[tu][s] for tu in left[u]]))
         inv.append(left[inv[u]][s])
     return CoxeterSystem(matrix, tuple(lengths), tuple(tree), tuple(first),
                          tuple(right), tuple(left), tuple(inv))

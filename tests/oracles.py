@@ -17,11 +17,14 @@ products, and the positive Rouquier shapes by a Bruhat scan of W^I with
 one g_{y,x} per pair instead of the library's one column of g, the
 embedding of the parabolic module by one product y u per term over W_I
 instead of one pass over the coset table, and the characters of shapes
-by one KL pair per term instead of the library's packed column sums.
+by one KL pair per term instead of the library's packed column sums,
+and the chamber keys of the enumeration by tuples of coordinates instead
+of the library's packed integers.
 """
 
 import functools
 
+from heckekit import coxeter
 from heckekit.hecke import KLTable, Packing
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 from heckekit.rouquier import ComplexShape
@@ -140,6 +143,31 @@ def inverse_row_via_duality(module, x):
         for e, k in h.items():
             c[e + lu] = c.get(e + lu, 0) + (-1) ** lu * k
     return {z: LaurentPoly(c) for z, c in acc.items()}
+
+
+def tuple_chamber_action(matrix):
+    """A drop-in for `coxeter._chamber_action` whose keys are tuples of
+    the coordinates of rho o w^-1, stepped one coordinate at a time, with
+    no packing and so no bound.  Every crystallographic matrix takes the
+    Cartan realization, rank 2 included, where the library acts on Z/2m.
+    A dihedral label without one (5, 7, 8, ...) keys w by (k, e) with
+    w = r^k s1^e, r = s1 s2 of order m: s1 toggles e, and s2 = s1 r
+    sends r^k to r^(k-1) s1 and r^k s1 to r^(k+1)."""
+    n = matrix.rank
+    labels = {matrix.bond(i, j) for i in range(n) for j in range(i + 1, n)}
+    if not labels <= coxeter._CRYSTAL_PAIRS.keys():
+        m = matrix.bond(0, 1)
+        return (0, 0), lambda s, key: ((key[0] + (2 * key[1] - 1) * s) % m, 1 - key[1])
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j], a[j][i] = coxeter._CRYSTAL_PAIRS[matrix.bond(i, j)]
+
+    def act(i, f):
+        fi = f[i]
+        return tuple([fj - aij * fi for fj, aij in zip(f, a[i])])
+
+    return (1,) * n, act
 
 
 def bruhat_lower_set(system, y):

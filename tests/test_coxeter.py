@@ -4,10 +4,10 @@ import tracemalloc
 
 import pytest
 
-from heckekit import CoxeterMatrix, GroupTooLarge, UnsupportedBond, build
+from heckekit import CoxeterMatrix, GroupTooLarge, UnsupportedBond, build, coxeter
 from heckekit.laurent import LaurentPoly, ONE, vpow
 
-from oracles import bruhat_lower_set, embed_via_subgroup
+from oracles import bruhat_lower_set, embed_via_subgroup, tuple_chamber_action
 
 
 def test_matrix_validation(sys_of):
@@ -178,6 +178,12 @@ def test_group_too_large():
     assert str(err.value) == (
         "more than 50000 elements; the group is infinite or the cap is too small"
     )
+    # a chamber coordinate reaches 937,402 here, far inside the packed bound
+    with pytest.raises(GroupTooLarge) as err:
+        build(hyperbolic)
+    assert str(err.value) == (
+        "more than 50000 elements; the group is infinite or the cap is too small"
+    )
 
 
 # sha256 of repr((lengths, words, _right, _left, _inv)), words the tuple
@@ -213,6 +219,64 @@ def test_enumeration_digest(sys_of, name):
     tables = (W.lengths, words, W._right, W._left, W._inv)
     digest = hashlib.sha256(repr(tables).encode()).hexdigest()
     assert digest == ENUMERATION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ENUMERATION_DIGESTS)
+def test_packed_keys_enumerate_as_tuple_keys(monkeypatch, sys_of, name):
+    W = sys_of(name)
+    monkeypatch.setattr(coxeter, "_chamber_action", tuple_chamber_action)
+    T = build(CoxeterMatrix.from_name(name))
+    for table in ("lengths", "tree", "_right", "_left", "_inv"):
+        assert getattr(T, table) == getattr(W, table), table
+
+
+TRIANGLE_GROUPS = {
+    "affine A2": [[1, 3, 3], [3, 1, 3], [3, 3, 1]],
+    "(4,4,4)": [[1, 4, 4], [4, 1, 4], [4, 4, 1]],
+    "(6,6,6)": [[1, 6, 6], [6, 1, 6], [6, 6, 1]],
+}
+
+
+@pytest.mark.parametrize("name", TRIANGLE_GROUPS)
+def test_packed_and_tuple_keys_reach_the_same_cap(monkeypatch, name):
+    matrix = CoxeterMatrix(TRIANGLE_GROUPS[name])
+    messages = []
+    for action in (coxeter._chamber_action, tuple_chamber_action):
+        monkeypatch.setattr(coxeter, "_chamber_action", action)
+        with pytest.raises(GroupTooLarge) as err:
+            build(matrix, cap=2000)
+        messages.append(str(err.value))
+    assert messages == [
+        "more than 2000 elements; the group is infinite or the cap is too small"] * 2
+
+
+def test_packed_step_is_exact_inside_its_bound_and_raises_at_it():
+    # in (6,6,6) a[2][0] = a[2][1] = -3, the largest off-diagonal entries,
+    # so stepping by s3 moves the other two coordinates furthest
+    matrix = CoxeterMatrix(TRIANGLE_GROUPS["(6,6,6)"])
+    identity, step = coxeter._chamber_action(matrix)
+    _, act = tuple_chamber_action(matrix)
+    bits = coxeter._KEY_BITS
+    bound = 1 << bits - 3
+
+    def pack(coords):
+        return sum((c + (1 << bits - 1)) << bits * j for j, c in enumerate(coords))
+
+    assert identity == pack((1, 1, 1))
+    for c in (bound - 1, 1 - bound):
+        for coords in ((c, c, c), (-c, -c, c), (0, 0, c)):
+            assert step(2, pack(coords)) == pack(act(2, coords))
+        assert act(2, (c, c, c)) == (4 * c, 4 * c, -c)
+    for s in range(3):
+        for c in (bound, -bound):
+            coords = [0, 0, 0]
+            coords[s] = c
+            with pytest.raises(GroupTooLarge) as err:
+                step(s, pack(coords))
+            assert str(err.value) == (
+                f"chamber key coordinate {c} is past the packed bound "
+                "|c| < 2^29; the group is infinite"
+            )
 
 
 def test_enumeration_order(sys_of):
