@@ -5,6 +5,11 @@ Subcommands emit deterministic tables (TSV by default, JSON behind
 rank-3 decomposition.  Exit codes: 0 success, 1 a verification suite
 failed, 2 input error, 141 stdout closed by its reader (as `| head` does),
 the status of a shell command killed by SIGPIPE, with nothing on stderr.
+
+Each subcommand's arguments are added to its parser on that parser's
+first parse, so a call fills only the subcommand it runs; `main` builds
+a fresh parser per call, since a CLI process parses once and a parser
+kept across calls would only flatter in-process timings.
 """
 
 from __future__ import annotations
@@ -44,9 +49,13 @@ def _load_system(args) -> tuple[CoxeterSystem, str]:
         label = args.type
     else:
         raise ValueError("one of --type or --matrix is required")
-    if args.cap < 1:
+    return _build_system(matrix, args.cap), label
+
+
+def _build_system(matrix: CoxeterMatrix, cap: int) -> CoxeterSystem:
+    if cap < 1:
         raise ValueError("--cap must be positive")
-    return coxeter.build(matrix, cap=args.cap), label
+    return coxeter.build(matrix, cap=cap)
 
 
 def _load_module(args) -> tuple[ParabolicModule, str]:
@@ -200,7 +209,7 @@ def cmd_hom_rank(args) -> int:
 
 
 def cmd_example_a3(args) -> int:
-    system = coxeter.build(CoxeterMatrix.from_name("A3"), cap=args.cap)
+    system = _build_system(CoxeterMatrix.from_name("A3"), args.cap)
     algebra = HeckeAlgebra(system)
     module = algebra.parabolic([0, 1])
     char = soergel.bott_samelson_char(module, (0, 1, 2))
@@ -248,49 +257,47 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heckekit",
-        description="Exact Kazhdan-Lusztig, parabolic and Rouquier-shape tables "
-                    "for finite Coxeter systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- parser ---------------------------------------------------------------------
+# Each fill adds its subcommand's arguments to the subcommand's parser.
 
-    p = sub.add_parser("kl-table", help="emit h_{y,x} for all y <= x")
+
+def _fill_kl_table(p: argparse.ArgumentParser) -> None:
     _add_common(p, subset=False)
     p.set_defaults(func=cmd_kl_table)
 
-    p = sub.add_parser("parabolic-tables", help="emit h^I_{y,x} over W^I")
+
+def _fill_parabolic_tables(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.set_defaults(func=cmd_parabolic_tables)
 
-    p = sub.add_parser("inverse-tables", help="emit g^I_{x,z} over W^I")
+
+def _fill_inverse_tables(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.set_defaults(func=cmd_inverse_tables)
 
-    p = sub.add_parser("rouquier-shape",
-                       help="graded shape of the minimal complex of a braid lift")
+
+def _fill_rouquier_shape(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("x", help='element as a dotted word, e.g. "s1.s2" ("e" = identity)')
     p.add_argument("--negative", action="store_true",
                    help="emit the negative-lift shape instead")
     p.set_defaults(func=cmd_rouquier_shape)
 
-    p = sub.add_parser("hom-rank",
-                       help="graded rank of Hom between two indecomposables")
+
+def _fill_hom_rank(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("x", help="element as a dotted word")
     p.add_argument("y", help="element as a dotted word")
     p.set_defaults(func=cmd_hom_rank)
 
-    p = sub.add_parser("example-a3",
-                       help="the rank-3 Bott-Samelson decomposition with a "
-                            "non-perverse summand pattern")
+
+def _fill_example_a3(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, default=coxeter.DEFAULT_CAP)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_example_a3)
 
-    p = sub.add_parser("verify", help="run invariant suites; exit 1 on failure")
+
+def _fill_verify(p: argparse.ArgumentParser) -> None:
     _add_common(p, subset=False)
     p.add_argument("--suite", default="",
                    help=f"comma-separated suite names (default: all); "
@@ -301,6 +308,57 @@ def make_parser() -> argparse.ArgumentParser:
                    help="random words per subset in bs-positivity")
     p.set_defaults(func=cmd_verify)
 
+
+# (name, help, fill) of each subcommand, in the order help lists them
+COMMANDS = (
+    ("kl-table", "emit h_{y,x} for all y <= x", _fill_kl_table),
+    ("parabolic-tables", "emit h^I_{y,x} over W^I", _fill_parabolic_tables),
+    ("inverse-tables", "emit g^I_{x,z} over W^I", _fill_inverse_tables),
+    ("rouquier-shape", "graded shape of the minimal complex of a braid lift",
+     _fill_rouquier_shape),
+    ("hom-rank", "graded rank of Hom between two indecomposables",
+     _fill_hom_rank),
+    ("example-a3", "the rank-3 Bott-Samelson decomposition with a "
+                   "non-perverse summand pattern", _fill_example_a3),
+    ("verify", "run invariant suites; exit 1 on failure", _fill_verify),
+)
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser; `fill` adds its arguments on its first parse.
+
+    The top-level parser reads only the name and help of a subcommand, and
+    `_SubParsersAction` hands the rest of argv to `parse_known_args`, so
+    the parser is whole before its help, usage or errors are formatted."""
+
+    def __init__(self, fill, **kwargs):
+        super().__init__(**kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def make_parser() -> argparse.ArgumentParser:
+    """The argparse tree of the CLI: every subcommand of `COMMANDS` is
+    registered with its name and help, and its arguments are added on its
+    first parse.  Adding those of all seven took more of a cold point
+    query than its group, module and shape work together, and a call
+    parses one subcommand.  `main` builds a fresh tree per call, as a CLI
+    process builds one: a tree kept across calls would only flatter
+    in-process timings."""
+    parser = argparse.ArgumentParser(
+        prog="heckekit",
+        description="Exact Kazhdan-Lusztig, parabolic and Rouquier-shape tables "
+                    "for finite Coxeter systems.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
+    for name, text, fill in COMMANDS:
+        sub.add_parser(name, help=text, fill=fill)
     return parser
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from heckekit import cli
 from heckekit.cli import main
 from heckekit.hecke import HeckeAlgebra
 from heckekit.parabolic import ParabolicModule
@@ -302,6 +304,7 @@ def test_matrix_file_input(tmp_path, capsys):
      "[Errno 2] No such file or directory: '/nonexistent/x'"),
     (["kl-table"], "one of --type or --matrix is required"),
     (["kl-table", "--type", "A2", "--cap", "0"], "--cap must be positive"),
+    (["example-a3", "--cap", "0"], "--cap must be positive"),
     (["parabolic-tables", "--type", "A2", "--subset", "s9"],
      "unknown generator label 's9'"),
     (["rouquier-shape", "--type", "A2", "q5"], "unknown generator label 'q5'"),
@@ -315,11 +318,90 @@ def test_matrix_file_input(tmp_path, capsys):
      "degree-one"),
     (["verify", "--type", "A1", "--words", "-3"],
      "bs_words must be non-negative, got -3"),
-], ids=["matrix-file", "no-system", "cap", "subset-label", "element-word",
-        "coset-rep", "shape-coset-rep", "suite-name", "words"])
+], ids=["matrix-file", "no-system", "cap", "example-cap", "subset-label",
+        "element-word", "coset-rep", "shape-coset-rep", "suite-name", "words"])
 def test_input_error_lines(capsys, argv, line):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+# -- the parser ---------------------------------------------------------------
+
+PARSER_ARGVS = [
+    ("--help",), (), ("nope",),
+    *((name, "--help") for name, _, _ in cli.COMMANDS),
+    # usage errors
+    ("rouquier-shape", "--type", "A2"),
+    ("kl-table", "--type", "A2", "--format", "xml"),
+    ("kl-table", "--type", "A2", "--matrix", "m.txt"),
+    ("kl-table", "--type", "A2", "--cap", "x"),
+    ("hom-rank", "--type", "A2", "s1", "s2", "s1"),
+    # one valid argv per subcommand
+    ("kl-table", "--type", "A1"),
+    ("parabolic-tables", "--type", "A2", "--subset", "s1"),
+    ("inverse-tables", "--type", "A2", "--format", "json"),
+    ("rouquier-shape", "--type", "A2", "s1", "--negative"),
+    ("hom-rank", "--type", "A2", "s1", "s2"),
+    ("example-a3", "--cap", "100"),
+    ("verify", "--type", "A1", "--suite", "pairing", "--seed", "3", "--words", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS,
+                         ids=[" ".join(a) or "no-arguments" for a in PARSER_ARGVS])
+def test_lazy_and_eager_parsers_agree(capsys, monkeypatch, argv):
+    # the reference fills every subcommand of the same table as it is
+    # registered, so help texts of any Python version are compared alike
+    monkeypatch.setenv("COLUMNS", "80")
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(self, *args, **kwargs):
+        parsed.append(parse_args(self, *args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+
+    def run():
+        parsed.clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, list(parsed)
+
+    lazy = run()
+    filled = []
+
+    class EagerParser(argparse.ArgumentParser):
+        def __init__(self, fill, **kwargs):
+            super().__init__(**kwargs)
+            fill(self)
+            filled.append(self)
+
+    monkeypatch.setattr(cli, "_SubcommandParser", EagerParser)
+    assert run() == lazy
+    assert len(filled) == len(cli.COMMANDS)
+
+
+def test_main_fills_only_its_subcommand_per_call(capsys, monkeypatch):
+    # the saving is paid by every invocation: no parser outlives its call
+    filled = []
+
+    def recording(name, fill):
+        def recording_fill(parser):
+            filled.append((name, parser))
+            fill(parser)
+        return recording_fill
+
+    monkeypatch.setattr(cli, "COMMANDS", tuple(
+        (name, text, recording(name, fill)) for name, text, fill in cli.COMMANDS))
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "hom-rank", "--type", "A1", "s1", "s1")
+        assert (code, out) == (0, "1*v^0 + 1*v^2\n")
+    assert [name for name, _ in filled] == ["hom-rank", "hom-rank"]
+    assert filled[0][1] is not filled[1][1]
 
 
 @pytest.mark.parametrize("type_name", ["A1", "B4"], ids=["final-flush", "mid-table"])
