@@ -6,10 +6,8 @@ rank-3 decomposition.  Exit codes: 0 success, 1 a verification suite
 failed, 2 input error, 141 stdout closed by its reader (as `| head` does),
 the status of a shell command killed by SIGPIPE, with nothing on stderr.
 
-Each subcommand's arguments are added to its parser on that parser's
-first parse, so a call fills only the subcommand it runs; `main` builds
-a fresh parser per call, since a CLI process parses once and a parser
-kept across calls would only flatter in-process timings.
+Only the subcommand a call runs gets a parser, built when argparse
+dispatches to it; `main` builds a fresh tree per call (see `make_parser`).
 """
 
 from __future__ import annotations
@@ -324,39 +322,39 @@ COMMANDS = (
 )
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser; `fill` adds its arguments on its first parse.
+class _SubcommandsAction(argparse._SubParsersAction):
+    """Subcommands whose parsers are built when argparse dispatches.
 
-    The top-level parser reads only the name and help of a subcommand, and
-    `_SubParsersAction` hands the rest of argv to `parse_known_args`, so
-    the parser is whole before its help, usage or errors are formatted."""
+    `add_parser` keeps the name and help, all that the top-level help,
+    usage and errors read, and maps the name to its `fill`; `__call__`
+    builds and fills the chosen parser, then lets argparse run it."""
 
-    def __init__(self, fill, **kwargs):
-        super().__init__(**kwargs)
-        self._fill = fill
+    def add_parser(self, name, *, help, fill):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = fill
 
-    def parse_known_args(self, args=None, namespace=None):
-        if self._fill is not None:
-            fill, self._fill = self._fill, None
-            fill(self)
-        return super().parse_known_args(args, namespace)
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
+        self._name_parser_map[name](sub)
+        self._name_parser_map[name] = sub
+        super().__call__(parser, namespace, values, option_string)
 
 
 def make_parser() -> argparse.ArgumentParser:
     """The argparse tree of the CLI: every subcommand of `COMMANDS` is
-    registered with its name and help, and its arguments are added on its
-    first parse.  Adding those of all seven took more of a cold point
-    query than its group, module and shape work together, and a call
-    parses one subcommand.  `main` builds a fresh tree per call, as a CLI
-    process builds one: a tree kept across calls would only flatter
-    in-process timings."""
+    registered by name and help, and only the one a parse dispatches to
+    is constructed and filled, since constructing and filling all seven
+    cost more of a cold point query than its group, module and shape
+    work.  `main` builds a fresh tree per call, as a CLI process does: a
+    tree kept across calls would only flatter in-process timings."""
     parser = argparse.ArgumentParser(
         prog="heckekit",
         description="Exact Kazhdan-Lusztig, parabolic and Rouquier-shape tables "
                     "for finite Coxeter systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_SubcommandParser)
+                                action=_SubcommandsAction)
     for name, text, fill in COMMANDS:
         sub.add_parser(name, help=text, fill=fill)
     return parser

@@ -19,12 +19,15 @@ embedding of the parabolic module by one product y u per term over W_I
 instead of one pass over the coset table, and the characters of shapes
 by one KL pair per term instead of the library's packed column sums,
 and the chamber keys of the enumeration by tuples of coordinates instead
-of the library's packed integers.
+of the library's packed integers, and the CLI's argparse tree with
+every subcommand's parser constructed and filled as it is registered
+instead of only the one a parse dispatches to.
 """
 
+import argparse
 import functools
 
-from heckekit import coxeter
+from heckekit import cli, coxeter
 from heckekit.hecke import KLTable, Packing
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 from heckekit.rouquier import ComplexShape
@@ -168,6 +171,21 @@ def tuple_chamber_action(matrix):
         return tuple([fj - aij * fi for fj, aij in zip(f, a[i])])
 
     return (1,) * n, act
+
+
+def eager_make_parser():
+    """A drop-in for `cli.make_parser` built with argparse's own
+    subparsers action: every subcommand of `cli.COMMANDS` is constructed
+    and filled at registration."""
+    parser = argparse.ArgumentParser(
+        prog="heckekit",
+        description="Exact Kazhdan-Lusztig, parabolic and Rouquier-shape tables "
+                    "for finite Coxeter systems.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text, fill in cli.COMMANDS:
+        fill(sub.add_parser(name, help=text))
+    return parser
 
 
 def bruhat_lower_set(system, y):

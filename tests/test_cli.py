@@ -13,6 +13,7 @@ from heckekit.cli import main
 from heckekit.hecke import HeckeAlgebra
 from heckekit.parabolic import ParabolicModule
 from heckekit.verify import SUITES
+from oracles import eager_make_parser
 
 
 def run_cli(capsys, *argv):
@@ -327,16 +328,8 @@ def test_input_error_lines(capsys, argv, line):
 
 # -- the parser ---------------------------------------------------------------
 
-PARSER_ARGVS = [
-    ("--help",), (), ("nope",),
-    *((name, "--help") for name, _, _ in cli.COMMANDS),
-    # usage errors
-    ("rouquier-shape", "--type", "A2"),
-    ("kl-table", "--type", "A2", "--format", "xml"),
-    ("kl-table", "--type", "A2", "--matrix", "m.txt"),
-    ("kl-table", "--type", "A2", "--cap", "x"),
-    ("hom-rank", "--type", "A2", "s1", "s2", "s1"),
-    # one valid argv per subcommand
+# one valid argv per subcommand
+VALID_ARGVS = [
     ("kl-table", "--type", "A1"),
     ("parabolic-tables", "--type", "A2", "--subset", "s1"),
     ("inverse-tables", "--type", "A2", "--format", "json"),
@@ -346,12 +339,45 @@ PARSER_ARGVS = [
     ("verify", "--type", "A1", "--suite", "pairing", "--seed", "3", "--words", "2"),
 ]
 
+PARSER_ARGVS = [
+    ("--help",), ("-h",), (), ("nope",), ("nope", "--help"),
+    # a prefix of a subcommand, and an option before the subcommand
+    ("kl",), ("--type", "A2", "kl-table"),
+    *((name, "--help") for name, _, _ in cli.COMMANDS),
+    ("rouquier-shape", "-h"),
+    # usage errors
+    ("rouquier-shape", "--type", "A2"),
+    ("hom-rank", "--type", "A2", "s1"),
+    ("kl-table", "--type", "A2", "--format", "xml"),
+    ("kl-table", "--type", "A2", "--matrix", "m.txt"),
+    ("kl-table", "--type", "A2", "--cap", "x"),
+    ("hom-rank", "--type", "A2", "s1", "s2", "s1"),
+    *VALID_ARGVS,
+    # options given as --opt=value
+    ("kl-table", "--format=json", "--type=A1"),
+]
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Every ArgumentParser constructed while the test runs, in order."""
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    return parsers
+
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS,
                          ids=[" ".join(a) or "no-arguments" for a in PARSER_ARGVS])
-def test_lazy_and_eager_parsers_agree(capsys, monkeypatch, argv):
-    # the reference fills every subcommand of the same table as it is
-    # registered, so help texts of any Python version are compared alike
+def test_lazy_and_eager_parsers_agree(capsys, monkeypatch, constructed, argv):
+    # the reference constructs and fills every subcommand of the same
+    # table as it is registered, so help texts of any Python version are
+    # compared alike
     monkeypatch.setenv("COLUMNS", "80")
     parsed = []
     parse_args = argparse.ArgumentParser.parse_args
@@ -364,6 +390,7 @@ def test_lazy_and_eager_parsers_agree(capsys, monkeypatch, argv):
 
     def run():
         parsed.clear()
+        constructed.clear()
         try:
             code = main(list(argv))
         except SystemExit as exc:
@@ -372,36 +399,30 @@ def test_lazy_and_eager_parsers_agree(capsys, monkeypatch, argv):
         return code, captured.out, captured.err, list(parsed)
 
     lazy = run()
-    filled = []
-
-    class EagerParser(argparse.ArgumentParser):
-        def __init__(self, fill, **kwargs):
-            super().__init__(**kwargs)
-            fill(self)
-            filled.append(self)
-
-    monkeypatch.setattr(cli, "_SubcommandParser", EagerParser)
+    monkeypatch.setattr(cli, "make_parser", eager_make_parser)
     assert run() == lazy
-    assert len(filled) == len(cli.COMMANDS)
+    assert len(constructed) == 1 + len(cli.COMMANDS)
 
 
-def test_main_fills_only_its_subcommand_per_call(capsys, monkeypatch):
-    # the saving is paid by every invocation: no parser outlives its call
-    filled = []
-
-    def recording(name, fill):
-        def recording_fill(parser):
-            filled.append((name, parser))
-            fill(parser)
-        return recording_fill
-
-    monkeypatch.setattr(cli, "COMMANDS", tuple(
-        (name, text, recording(name, fill)) for name, text, fill in cli.COMMANDS))
+def test_main_constructs_only_its_subcommand_parser_per_call(capsys, constructed):
+    # the top-level parser, and the invoked subcommand's once argparse
+    # dispatches to it; the saving is paid by every invocation, as no
+    # parser outlives its call
+    for argv in VALID_ARGVS:
+        constructed.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert [p.prog for p in constructed] == ["heckekit", f"heckekit {argv[0]}"]
+    for argv in [("--help",), (), ("nope",)]:
+        constructed.clear()
+        with pytest.raises(SystemExit):
+            main(list(argv))
+        assert [p.prog for p in constructed] == ["heckekit"]
+    capsys.readouterr()
+    constructed.clear()
     for _ in range(2):
         code, out, _ = run_cli(capsys, "hom-rank", "--type", "A1", "s1", "s1")
         assert (code, out) == (0, "1*v^0 + 1*v^2\n")
-    assert [name for name, _ in filled] == ["hom-rank", "hom-rank"]
-    assert filled[0][1] is not filled[1][1]
+    assert len({id(p) for p in constructed}) == len(constructed) == 4
 
 
 @pytest.mark.parametrize("type_name", ["A1", "B4"], ids=["final-flush", "mid-table"])
