@@ -56,7 +56,7 @@ from typing import Iterator, Mapping
 
 from .coxeter import CoxeterSystem
 from .laurent import (PACK_BITS, LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot,
-                      lincomb, pack, unpack)
+                      lincomb, pack, unpack, vpow)
 
 _V_MINUS_VINV = V - V_INV
 _VINV_MINUS_V = V_INV - V
@@ -178,9 +178,9 @@ class Packing:
     `packed` maps the id of each interned object back to its packed value,
     `pairs` maps a packed value n to the interned pair (n, n << K) that a
     KL element writes at w and at its partner sw, and `bound` is the
-    largest coefficient size packed so far.  The characters of Rouquier
-    shapes (rouquier.py) read `packed` and `bound` to sum columns of PKL
-    as packed ints, and change nothing here."""
+    largest coefficient size packed so far.  Outside the KL recursion the
+    one reader of `packed` and `bound` is `column_sum`, behind
+    `ParabolicModule.from_kl`, and it changes nothing here."""
 
     def __init__(self):
         self.polys: dict[int, LaurentPoly] = {}
@@ -202,6 +202,41 @@ class Packing:
         n = pack(p, PACK_BITS)
         self.bound = max(self.bound, *map(abs, p._c.values()), 0)
         return n
+
+    def fits(self, total: int) -> bool:
+        """Whether sums of `total` multiples of packed coefficients are exact."""
+        return self.bound * total < 1 << (PACK_BITS - 1)
+
+    def column_sum(self, pairs: list[tuple[LaurentPoly, Mapping[int, LaurentPoly]]]
+                   ) -> dict[int, LaurentPoly]:
+        """`lincomb` of (c_i, col_i) pairs, each col_i a column of a KL table
+        already read, over packed ints: n_i = c_i(2^K), c_i moved up by v^-lo
+        (lo the least exponent, or 0), times the packed value of each distinct
+        entry of col_i.  A coefficient of the sum adds sum_i ||c_i||_1
+        multiples of packed ones at most; where that fails `fits`, or an
+        entry is not interned (a corrupted table), `lincomb` sums the pairs."""
+        K = PACK_BITS
+        lo = min([0, *(e for c, _ in pairs for e in c._c)])
+        if not self.fits(sum(abs(k) for c, _ in pairs for k in c._c.values())):
+            return lincomb(pairs)
+        packed = self.packed
+        sums: dict[int, int] = {}
+        for c, col in pairs:
+            n = sum(k << K * (e - lo) for e, k in c._c.items())
+            prods: dict[int, int] = {}
+            for w, p in col.items():
+                i = id(p)
+                m = prods.get(i)
+                if m is None:
+                    try:
+                        m = prods[i] = n * packed[i]
+                    except KeyError:
+                        return lincomb(pairs)
+                sums[w] = sums.get(w, 0) + m
+        if not lo:
+            return {w: unpack(n, K) for w, n in sums.items() if n}
+        move = vpow(lo)
+        return {w: unpack(n, K) * move for w, n in sums.items() if n}
 
 
 class KLTable(dict):
@@ -232,7 +267,7 @@ class KLTable(dict):
     are looked up in `polys`.  A value is decoded only on a miss.  A
     coefficient that is not interned is packed on the fly.  Every position
     reached is kept, so the keys are [e, x] in W^I, with zero values in N
-    only.  A lookup that raises ValueError stores nothing.
+    only.  A lookup that raises ValueError stores nothing at x.
     """
 
     def __init__(self, system: CoxeterSystem, left, spherical: bool,
@@ -254,10 +289,23 @@ class KLTable(dict):
         return (sys._inv,) * (not subset) + sys.graph_automorphisms(subset)
 
     def __missing__(self, x: int) -> dict[int, LaurentPoly]:
+        stack = [self._fill(x)]
+        while stack:
+            need = next(stack[-1], None)
+            if need is None:
+                stack.pop()
+            else:
+                stack.append(self._fill(need))
+        return self[x]
+
+    def _fill(self, x: int) -> Iterator[int]:
+        """Store the KL element of x, first yielding each element it reads
+        that is not stored yet: `__missing__` fills that off its stack and
+        resumes, so a lookup does not recurse l(x) deep."""
         pk = self.packing
         if x == 0:
-            terms = self[0] = {0: pk.poly(1)}
-            return terms
+            self[0] = {0: pk.poly(1)}
+            return
         if self.maps:
             if x not in self._sources:
                 self._walk_orbit(x)
@@ -265,8 +313,10 @@ class KLTable(dict):
             if source is not None:
                 # h_{g(w),g(u)} = h_{w,u}
                 u, g = source
-                terms = self[x] = {g[w]: p for w, p in self[u].items()}
-                return terms
+                if u not in self:
+                    yield u
+                self[x] = {g[w]: p for w, p in self[u].items()}
+                return
         K = PACK_BITS
         mask = (1 << K) - 1
         packed = pk.packed
@@ -276,6 +326,8 @@ class KLTable(dict):
         spherical = self.spherical
         s = sys.first[x]
         y = left[x][s]
+        if y not in self:
+            yield y
         below = self[y]
         upper: dict[int, int] = {}
         for w, p in below.items():
@@ -307,6 +359,8 @@ class KLTable(dict):
             if lengths[sz] > lengths[z] or sz == z and not spherical:
                 continue
             total += abs(m)
+            if z not in self:
+                yield z
             for w, p in self[z].items():
                 if w in upper:
                     try:
@@ -314,7 +368,7 @@ class KLTable(dict):
                     except KeyError:
                         n = pk.pack(p)
                     upper[w] -= m * n
-        if pk.bound * total >= 1 << (K - 1):
+        if not pk.fits(total):
             raise ValueError(
                 f"KL element of {sys.word_str(x)}: coefficients up to "
                 f"{pk.bound} times {total} may not fit in {K}-bit packing")
@@ -334,7 +388,6 @@ class KLTable(dict):
                 except KeyError:
                     terms[w] = pk.poly(n)
         self[x] = terms
-        return terms
 
     def _walk_orbit(self, x: int) -> None:
         """Record the sources of the orbit of x: a breadth-first search
@@ -446,18 +499,20 @@ class HeckeAlgebra:
     # -- bar involution ---------------------------------------------------------
 
     def _bar_of_basis(self, w: int) -> dict[int, LaurentPoly]:
-        out = self._bar_basis.get(w)
-        if out is None:
-            # bar(H_w) = H_s^-1 * bar(H_{s w})
-            sys = self.system
-            s = sys.first[w]
-            rest = self._bar_of_basis(sys._left[w][s])
-            # few distinct values over many entries: one object for each
-            polys = self._bar_polys
-            out = self._bar_basis[w] = {
-                u: polys.setdefault(p, p) for u, p in
-                self._gen_terms(rest, s, sys._left, ZERO, _V_MINUS_VINV).items()}
-        return out
+        # bar(H_u) = H_s^-1 * bar(H_{su}), s the first letter of u: walk down
+        # from w to a stored element, then fill upwards, not by recursion
+        basis, sys = self._bar_basis, self.system
+        chain, u = [], w
+        while u not in basis:
+            chain.append(u)
+            u = sys._left[u][sys.first[u]]
+        # few distinct values over many entries: one object for each
+        polys = self._bar_polys
+        for u in reversed(chain):
+            s = sys.first[u]
+            basis[u] = {t: polys.setdefault(p, p) for t, p in self._gen_terms(
+                basis[sys._left[u][s]], s, sys._left, ZERO, _V_MINUS_VINV).items()}
+        return basis[w]
 
     def bar(self, h: HeckeElt) -> HeckeElt:
         """The bar involution: coefficients v -> v^-1, H_w -> (H_{w^-1})^-1."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .hecke import HeckeAlgebra, HeckeElt, KLTable, TermElt, _own
-from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, lincomb, vpow
+from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, vpow
 
 _V_PLUS_VINV = V + V_INV
 
@@ -71,13 +71,14 @@ class ParabolicModule:
     def subset_labels(self) -> list[str]:
         return [self.system.gen_label(s) for s in sorted(self.subset)]
 
-    def _check_rep(self, w: int) -> None:
+    def _check_rep(self, w: int) -> int:
         self.system._check_element(w)
         if self._rep[w] != w:
             raise ValueError(
                 f"{self.system.word_str(w)} is not a minimal coset "
                 f"representative for I = {{{', '.join(self.subset_labels())}}}"
             )
+        return w
 
     # -- constructors ---------------------------------------------------------
 
@@ -136,14 +137,14 @@ class ParabolicModule:
 
     def kl_basis(self, x: int) -> ParabolicElt:
         """PKL_x, the KL element of x in M; unitriangular at x."""
-        self._check_rep(x)
-        return ParabolicElt(self, self._pkl[x])
+        return ParabolicElt(self, self._pkl[self._check_rep(x)])
 
     def from_kl(self, pairs: Iterable[tuple[int, LaurentPoly]]) -> ParabolicElt:
         """sum_y c_y PKL_y over (y, c_y) pairs, in the standard basis; a y
-        may occur in several pairs."""
-        return ParabolicElt(self, lincomb((c, self.kl_basis(y).terms)
-                                          for y, c in pairs))
+        may occur in several pairs.  Every column is read first, then
+        summed over packed ints by the algebra's `Packing.column_sum`."""
+        return ParabolicElt(self, self.algebra._packing.column_sum(
+            [(c, self._pkl[self._check_rep(y)]) for y, c in pairs]))
 
     def kl_poly(self, y: int, x: int) -> LaurentPoly:
         """h_{y,x} in the parabolic module."""

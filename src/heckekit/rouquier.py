@@ -9,20 +9,13 @@ nonpositive degrees with shift equal to the degree.
 
 No differentials are stored: the terms are fully determined at this
 level, the maps between them are not.
-
-A character, sum_y c_y PKL_y with c_y the signed, shifted multiplicities
-of y, is summed as packed ints p(2^K) (Kronecker substitution,
-`laurent.pack`): c_y(2^K) times the packed value of each entry of the
-column PKL_y, read off the algebra's `Packing`, and only the nonzero sums
-decoded.  A shape past the bound of the packing, or a column with an
-entry the `Packing` does not hold, is summed by `ParabolicModule.from_kl`.
 """
 
 from __future__ import annotations
 
 # div_exact is no longer called here; it stays bound because
 # perfbench/selftest.py checks that the tracer wraps it in this namespace.
-from .laurent import PACK_BITS, LaurentPoly, div_exact, unpack, vpow  # noqa: F401
+from .laurent import LaurentPoly, div_exact, vpow  # noqa: F401
 from .parabolic import ParabolicElt, ParabolicModule
 
 Term = tuple[int, int, int]  # (element of W^I, grading shift, multiplicity)
@@ -115,65 +108,14 @@ def e_shape(module: ParabolicModule, x: int) -> ComplexShape:
 def _kl_sum(shape: ComplexShape, twist: int) -> ParabolicElt:
     """sum over terms (y, shift, mult) in degree d of
     (-1)^d mult v^(twist * shift) PKL_y; twist -1 bars the coefficients.
-
-    The terms of each y are grouped into one coefficient c_y.  The sum is
-    taken as packed ints when every entry of the columns PKL_y is interned
-    in the algebra's `Packing` and the bound holds, else by `from_kl` over
-    the pairs (y, c_y): the kernel is chosen once per call."""
-    mod = shape.module
-    coeffs: dict[int, dict[int, int]] = {}
-    total = 0
+    The terms of each y are grouped into one coefficient c_y, and
+    `ParabolicModule.from_kl` sums the pairs (y, c_y)."""
+    coeffs: dict[int, LaurentPoly] = {}
     for deg, entries in shape.terms.items():
         for y, shift, mult in entries:
-            c = coeffs.setdefault(y, {})
-            e = twist * shift
-            c[e] = c.get(e, 0) + (-mult if deg % 2 else mult)
-            total += abs(mult)
-    terms = _packed_kl_sum(mod, coeffs, total)
-    if terms is None:
-        return mod.from_kl((y, LaurentPoly(c)) for y, c in coeffs.items())
-    return ParabolicElt(mod, terms)
-
-
-def _packed_kl_sum(mod: ParabolicModule, coeffs: dict[int, dict[int, int]],
-                   total: int) -> dict[int, LaurentPoly] | None:
-    """sum_y c_y PKL_y over the coefficient maps c_y, as packed column sums
-    (Kronecker substitution, `laurent.pack`): each c_y, moved up by
-    v^(-lo), lo the least exponent or 0, is one int n_y = c_y(2^K), and
-    entry w of the sum is sum_y n_y h_{w,y}(2^K), with h_{w,y}(2^K) read
-    off `Packing.packed`.  A coefficient of the sum adds at most
-    sum |mult| = `total` products of a multiplicity and a coefficient of
-    the table, so `Packing.bound` * total < 2^(K-1) keeps every digit
-    exact; only the nonzero sums are decoded and moved back by v^lo.
-    Reading a column may fill it and widen the bound, so the bound is
-    checked once every column has been read.  None where the bound fails
-    or an entry is not interned, which only a corrupted table holds; the
-    `Packing` is only read."""
-    pk = mod.algebra._packing
-    K = PACK_BITS
-    lo = min([0, *(e for c in coeffs.values() for e in c)])
-    packed = pk.packed
-    sums: dict[int, int] = {}
-    for y, c in coeffs.items():
-        mod._check_rep(y)
-        n = sum(k << K * (e - lo) for e, k in c.items())
-        if not n:
-            continue
-        # one product per distinct interned value of the column
-        prods: dict[int, int] = {}
-        for w, p in mod._pkl[y].items():
-            i = id(p)
-            m = prods.get(i)
-            if m is None:
-                try:
-                    m = prods[i] = n * packed[i]
-                except KeyError:
-                    return None
-            sums[w] = sums.get(w, 0) + m
-    if pk.bound * total >= 1 << (K - 1):
-        return None
-    move = vpow(lo)
-    return {w: unpack(n) * move for w, n in sums.items() if n}
+            t = vpow(twist * shift, -mult if deg % 2 else mult)
+            coeffs[y] = coeffs[y] + t if y in coeffs else t
+    return shape.module.from_kl(coeffs.items())
 
 
 def shape_character(shape: ComplexShape) -> ParabolicElt:

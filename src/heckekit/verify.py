@@ -22,8 +22,7 @@ kernel once, `inversion` per module and `bar-invariance` per algebra:
 packed sums when every operand packs within this bound, else `lincomb`
 over the same columns, or `HeckeAlgebra.bar` of each KL element.
 `euler-hom` reads the characters of the shapes through the library's
-`shape_character`, which sums packed columns of PKL in the same way,
-under the bound of the algebra's `Packing` (rouquier.py).
+`ParabolicModule.from_kl`, which sums packed columns of PKL as well.
 """
 
 from __future__ import annotations

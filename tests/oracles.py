@@ -29,7 +29,8 @@ import functools
 
 from heckekit import cli, coxeter
 from heckekit.hecke import KLTable, Packing
-from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
+from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, lincomb, vpow
+from heckekit.parabolic import ParabolicElt
 from heckekit.rouquier import ComplexShape
 
 
@@ -347,8 +348,10 @@ def f_shape_via_bruhat(module, x):
 
 def shape_character_via_terms(shape, twist):
     """sum over terms (y, shift, mult) in degree d of
-    (-1)^d mult v^(twist * shift) PKL_y through `from_kl`, one pair per
-    term, where the library groups the terms by y and sums packed columns."""
-    return shape.module.from_kl(
-        (y, vpow(twist * shift, -mult if deg % 2 else mult))
-        for deg, entries in shape.terms.items() for y, shift, mult in entries)
+    (-1)^d mult v^(twist * shift) PKL_y through `laurent.lincomb`, one pair
+    per term, where the library groups the terms by y and sums packed
+    columns."""
+    module = shape.module
+    return ParabolicElt(module, lincomb(
+        (vpow(twist * shift, -mult if deg % 2 else mult), module.kl_basis(y).terms)
+        for deg, entries in shape.terms.items() for y, shift, mult in entries))

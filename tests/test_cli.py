@@ -425,6 +425,17 @@ def test_main_constructs_only_its_subcommand_parser_per_call(capsys, constructed
     assert len({id(p) for p in constructed}) == len(constructed) == 4
 
 
+def test_point_queries_at_w0_of_a_long_dihedral_group(capsys):
+    # the columns of w0 are filled off a chain of 300 first letters
+    w0 = ".".join(["s1", "s2"] * 150)
+    code, out, _ = run_cli(capsys, "rouquier-shape", "--type", "I2(300)", w0)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 302
+    assert lines[-1] == "300\te:300:1"
+    code, out, _ = run_cli(capsys, "hom-rank", "--type", "I2(300)", w0, "e")
+    assert (code, out) == (0, "1*v^300\n")
+
+
 @pytest.mark.parametrize("type_name", ["A1", "B4"], ids=["final-flush", "mid-table"])
 def test_closed_stdout_exits_141_quietly(type_name):
     # the read end is closed before the child writes, as `| head -1` may;

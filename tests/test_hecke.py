@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -725,3 +726,38 @@ def test_kl_poly_and_mu_reject_bad_y():
         for query in (H.kl_poly, H.mu):
             with pytest.raises(ValueError, match=f"^element index {y} out of range$"):
                 query(y, 5)
+
+
+# -- long elements --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, subset", [("I2(1000)", []), ("I2(600)", [0])])
+def test_kl_element_of_the_top_by_the_closed_form_on_a_fresh_table(name, subset):
+    # in I2(m) every y in W^I lies below the top element x of W^I and
+    # h^I_{y,x} = v^(l(x) - l(y)); the first lookup of x reads a chain of
+    # l(x) first letters, past the default recursion limit
+    H = HeckeAlgebra(build_named(name))
+    M = H.parabolic(subset)
+    top, lengths = M.reps[-1], H.system.lengths
+    assert M.kl_basis(top).terms == {y: vpow(lengths[top] - lengths[y]) for y in M.reps}
+
+
+def test_bar_and_kl_of_w0_on_a_fresh_algebra_do_not_recurse_per_letter():
+    # bar(H_w) is read off bar(H_sw) and KL_w off KL_sw: under a recursion
+    # limit 50 frames above this test, a recursion per letter of the 100
+    # letters of w0 in I2(100) fails
+    H = HeckeAlgebra(build_named("I2(100)"))
+    W = H.system
+    w0, lengths = W.longest, W.lengths
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        H.bar(H.std(w0))
+        kl = H.kl_basis(w0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert kl.terms == {y: vpow(lengths[w0] - lengths[y]) for y in range(W.size)}
+    assert H.bar(kl) == kl

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from heckekit import Character, HeckeAlgebra, NotInIdeal
-from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
+from heckekit import Character, HeckeAlgebra, NotInIdeal, hecke
+from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, lincomb, vpow
 
 from oracles import (
     inverse_row_via_duality,
@@ -160,6 +160,28 @@ def test_pkl_empty_subset_is_kl(alg_of):
         assert M.kl_basis(x).terms == H.kl_basis(x).terms
         for y in range(H.system.size):
             assert M.kl_poly(y, x) == H.kl_poly(y, x)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "A1xA2"])
+def test_from_kl_matches_lincomb(alg_of, name, monkeypatch):
+    # random pairs over a few y, so most y repeat, with negative exponents
+    # and coefficients near 2^32, and one pair cancelling another: every
+    # sum is packed and equals lincomb over the same columns
+    rng = random.Random(32)
+    H = alg_of(name)
+    fallbacks = []
+    monkeypatch.setattr(hecke, "lincomb", lambda pairs: fallbacks.append(pairs))
+    for subset in _all_subsets(H.system.rank):
+        M = H.parabolic(subset)
+        for _ in range(4):
+            ys = rng.sample(M.reps, min(3, len(M.reps)))
+            pairs = [(rng.choice(ys), LaurentPoly(
+                {rng.randint(-5, 5): rng.choice([-1, 1]) * (2**32 + rng.randint(-9, 9))
+                 for _ in range(rng.randint(1, 3))})) for _ in range(6)]
+            pairs.append((pairs[0][0], -pairs[0][1]))
+            expected = lincomb((c, M.kl_basis(y).terms) for y, c in pairs)
+            assert M.from_kl(iter(pairs)).terms == expected, (subset, pairs)
+    assert not fallbacks
 
 
 def test_pkl_unitriangular(alg_of):

@@ -15,8 +15,10 @@ from heckekit import (
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, div_exact, vpow
 
 from oracles import (
+    bar_via_acc,
     bott_samelson_via_hecke,
     decompose_in_kl_basis,
+    embed_via_subgroup,
     to_parabolic_via_acc,
     trace_pairing,
 )
@@ -231,6 +233,26 @@ def test_hom_rank_matches_direct_composition(alg_of):
                 direct = div_exact(trace_pairing(H, h1, h2),
                                    M.system.poincare(M.subset))
                 assert graded_hom_rank(c1, c2) == direct, (name, subset, c1, c2)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "A1xA2"])
+def test_hom_rank_of_wide_characters_matches_embedded_pairing(alg_of, name):
+    # negative exponents and coefficients near 2^32 in both characters; the
+    # oracle expands each by one product per term, embeds it through W_I,
+    # bars the second in H and multiplies the trace pairing out
+    rng = random.Random(33)
+    H = alg_of(name)
+    for subset in _all_subsets(H.system.rank):
+        M = H.parabolic(subset)
+        for _ in range(2):
+            c1, c2 = (Character(M, {rng.choice(M.reps): LaurentPoly(
+                {rng.randint(-4, 4): rng.choice([-1, 1]) * (2**32 + rng.randint(-9, 9))
+                 for _ in range(rng.randint(1, 3))}) for _ in range(3)}) for _ in range(2))
+            h1 = embed_via_subgroup(M, M.elt(to_parabolic_via_acc(c1)))
+            h2 = embed_via_subgroup(M, M.elt(to_parabolic_via_acc(c2)))
+            direct = div_exact(trace_pairing(H, h1, H.elt(bar_via_acc(H, h2))),
+                               M.system.poincare(M.subset))
+            assert graded_hom_rank(c1, c2) == direct, (subset, c1, c2)
 
 
 def test_hom_rank_diagonal_shape_empty_subset(alg_of):
