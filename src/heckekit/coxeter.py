@@ -15,19 +15,24 @@ takes memory linear in |W| for every type.
 
 Elements are enumerated as the orbit of one chamber: w is keyed by w^-1
 applied to a base chamber, so key(w s) = act(s, key(w)).  There are two
-exact realizations:
+exact realizations, and a product of Coxeter groups takes one per factor:
 
-* rank-2 systems with an arbitrary label m >= 2 act on the 2m chambers
+* a dihedral group with an arbitrary label m >= 2 acts on the 2m chambers
   Z/2m, s1 by i -> -1 - i and s2 by i -> 1 - i; keys are single integers
   for every m;
-* otherwise bond labels in {2, 3, 4, 6} admit an integer Cartan matrix;
-  keys are the images of rho = (1, ..., 1), a functional given by its
-  values on the simple roots, packed into one integer with one biased
-  32-bit digit per coordinate, so a step is one digit extraction and one
-  product with a packed Cartan row.
+* bond labels in {2, 3, 4, 6} admit an integer Cartan matrix; keys are the
+  images of rho = (1, ..., 1), a functional given by its values on the
+  simple roots, packed into one integer with one biased 32-bit digit per
+  coordinate, so a step is one digit extraction and one product with a
+  packed Cartan row.
 
-Either way distinct elements get distinct keys.  Non-crystallographic
-bonds in rank >= 3 (H3, H4, ...) are rejected.
+A system of rank 2 is dihedral, and one of rank >= 3 with every label in
+{2, 3, 4, 6} is Cartan.  In any other system each label outside that set
+must join the two generators of an irreducible factor of rank 2 (as in
+I2(5)xA1); each such factor gets a Z/2m digit of its own above the Cartan
+digits of the other generators.  Either way distinct elements get
+distinct keys.  Non-crystallographic bonds in irreducible factors of rank
+>= 3 (H3, H4, ...) are rejected.
 """
 
 from __future__ import annotations
@@ -228,16 +233,23 @@ def _chamber_action(matrix: CoxeterMatrix):
         return 0, lambda s, i: (2 * s - 1 - i) % m2
     # a[i][j] = <alpha_j, alpha_i^vee>, so s_i(alpha_j) = alpha_j - a[i][j] alpha_i
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    # generator -> (digit shift, 2m, side 0 or 1) in a dihedral factor
+    dihedral: dict[int, tuple[int, int, int]] = {}
+    top = _KEY_BITS * n
     for i in range(n):
         for j in range(i + 1, n):
             label = matrix.bond(i, j)
-            if label not in _CRYSTAL_PAIRS:
+            if label in _CRYSTAL_PAIRS:
+                a[i][j], a[j][i] = _CRYSTAL_PAIRS[label]
+            elif _is_dihedral_factor(matrix, i, j):
+                dihedral[i], dihedral[j] = (top, 2 * label, 0), (top, 2 * label, 1)
+                top += (2 * label).bit_length()
+            else:
                 raise UnsupportedBond(
                     f"bond m(s{i + 1},s{j + 1}) = {label} has no integer "
                     "root-system realization; only labels 2, 3, 4, 6 are "
                     "supported in rank >= 3"
                 )
-            a[i][j], a[j][i] = _CRYSTAL_PAIRS[label]
 
     bias = 1 << _KEY_BITS - 1
     limit = bias >> 2
@@ -254,7 +266,26 @@ def _chamber_action(matrix: CoxeterMatrix):
             )
         return key - fi * rows[i]
 
-    return sum((1 + bias) << shift for shift in shifts), step
+    identity = sum((1 + bias) << shifts[i] for i in range(n) if i not in dihedral)
+    if not dihedral:
+        return identity, step
+
+    def mixed_step(i: int, key: int) -> int:
+        if i not in dihedral:
+            return step(i, key)
+        # d -> 2 side - 1 - d on the factor's digit, as in rank 2
+        shift, m2, side = dihedral[i]
+        d = key >> shift & (1 << m2.bit_length()) - 1
+        return key + (((2 * side - 1 - d) % m2 - d) << shift)
+
+    return identity, mixed_step
+
+
+def _is_dihedral_factor(matrix: CoxeterMatrix, i: int, j: int) -> bool:
+    """Whether s_i and s_j commute with every other generator, so that
+    they generate an irreducible factor of rank 2."""
+    return all(matrix.bond(k, i) == matrix.bond(k, j) == 2
+               for k in range(matrix.rank) if k not in (i, j))
 
 
 def _graph_automorphisms(m, subset: frozenset[int]) -> list[tuple[int, ...]]:

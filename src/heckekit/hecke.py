@@ -5,17 +5,36 @@ and braid relations; bar involution fixing each H_s^-1 = H_s + (v - v^-1);
 Kazhdan-Lusztig basis {KL_w}, the unique bar-invariant basis with
 KL_x = H_x + sum_{y < x} h_{y,x} H_y and h_{y,x} in vZ[v].
 
-One kernel, `HeckeAlgebra._gen_terms`, applies a generator s to a term
-map over W^I (W^I = W in H): P_w goes to P_t + a P_w, t = table[w][s],
-with a = `lower` if t < w and `higher` if t > w, and to `fixed` P_w where
-t = w (only in the parabolic modules, parabolic.py).  Length additivity
-and the quadratic relation make three rules of it, with
-H_s^-1 = H_s + (v - v^-1) and KL_s = H_s + v:
+One kernel applies a generator s to a term map over W^I (W^I = W in H):
+P_w goes to P_t + a P_w, t = table[w][s], with a = `lower` if t < w and
+`higher` if t > w, and to `fixed` P_w where t = w (only in the parabolic
+modules, parabolic.py).  Length additivity and the quadratic relation
+make three rules of it, with H_s^-1 = H_s + (v - v^-1) and KL_s = H_s + v;
+each is a row (lower, higher, fixed):
 
-    action       table    lower        higher
+    action       table    lower        higher      fixed
     H_w H_s      right    v^-1 - v     0
     H_s^-1 H_w   left     0            v - v^-1
-    KL_s P_w     left     v^-1         v
+    KL_s P_w     left     v^-1         v           v + v^-1 (M only)
+
+`HeckeAlgebra._step` applies a row times v to a packed term map {w: n},
+n = (v^o c_w)(2^K) with K = `PACK_BITS` (Kronecker substitution, below):
+the partner t gains n << K and w gains n times v a at v = 2^K, one of
+1 - v^2, v^2 - 1, 1, v^2 and 1 + v^2.  So every row is a polynomial in v,
+a step raises o by one, and it costs one shift and one small-int product
+per term.  A step gives each index its own coefficient times a row of
+1-norm at most 2 plus one partner's coefficient, so k steps from
+coefficients of size at most B stay at most B 3^k, and the ints are exact
+while B 3^k < 2^(K-1) (`_fits_steps`).  Callers that chain steps pack
+once and decode once: `mult` along each reduced word, `_bar_of_basis`
+along its chain of first letters, `soergel.bott_samelson_char` over its
+word and the `pairing` suite's walk (verify.py).  Each checks the bound
+once per chain, from its largest input coefficient and its length; a
+longer chain steps `_gen_terms`, the same rows on `LaurentPoly` terms,
+as do the single steps `mult_gen_right` and `kl_gen_mult`.  Every chain
+of an irreducible crystallographic type under the default cap passes
+(the longest, B6, has 36 letters); long dihedral chains do not, and wider
+digits would make each of their steps cost O(k) words instead.
 
 The bar involution is the ring homomorphism with bar(v) = v^-1 and
 bar(H_s) = H_s^-1, so bar(H_w) = H_{s1}^-1 ... H_{sk}^-1 for a reduced
@@ -56,10 +75,26 @@ from typing import Iterator, Mapping
 
 from .coxeter import CoxeterSystem
 from .laurent import (PACK_BITS, LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot,
-                      lincomb, pack, unpack, vpow)
+                      lincomb, pack, pack_shifted, unpack, vpow)
 
-_V_MINUS_VINV = V - V_INV
-_VINV_MINUS_V = V_INV - V
+
+# rows (lower, higher, fixed) of the generator table (module docstring)
+_RIGHT_H = (V_INV - V, ZERO, ZERO)      # H_w H_s
+_LEFT_H_INV = (ZERO, V - V_INV, ZERO)   # H_s^-1 H_w
+_KL_H = (V_INV, V, ZERO)                # KL_s H_w
+
+
+@functools.cache
+def _packed_row(row: tuple, bits: int) -> tuple[int, int, int]:
+    """v lower, v higher and v fixed of `row`, each at v = 2^bits."""
+    return tuple(pack_shifted(p, 1, bits=bits) for p in row)
+
+
+def _fits_steps(bound: int, steps: int) -> bool:
+    """Whether `steps` packed generator steps from coefficients of size at
+    most `bound` stay exact: sizes stay at most bound * 3^steps (module
+    docstring), which balanced digits hold below 2^(K-1)."""
+    return bound * 3 ** steps < 1 << (PACK_BITS - 1)
 
 
 def _acc(terms: dict[int, LaurentPoly], w: int, p: LaurentPoly) -> None:
@@ -414,15 +449,21 @@ class HeckeAlgebra:
     """Hecke algebra attached to a CoxeterSystem.
 
     Keeps per-system memo tables: bar of standard basis elements, its
-    few distinct values interned in `_bar_polys`, the KL table `_kl`,
-    the parabolic modules, and the `Packing` that the KL tables of H and
-    of its modules share.  Queries are pure in (system, arguments).
+    few distinct values interned in `_bar_polys` with `_bar_bound` their
+    largest coefficient size and, per length l, the packed v^l p of each
+    value p of bar(H_w) with l(w) = l both ways (`_bar_packed` by id(p),
+    `_bar_unpacked`), the KL table `_kl`, the parabolic modules, and the
+    `Packing` that the KL tables of H and of its modules share.  Queries
+    are pure in (system, arguments).
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._bar_basis: dict[int, dict[int, LaurentPoly]] = {0: {0: ONE}}
         self._bar_polys: dict[LaurentPoly, LaurentPoly] = {ONE: ONE}
+        self._bar_bound = 1
+        self._bar_packed: dict[int, dict[int, int]] = {}
+        self._bar_unpacked: dict[int, dict[int, LaurentPoly]] = {}
         self._packing = Packing()
         self._kl = KLTable(system, system._left, False, self._packing, frozenset())
         self._parabolic: dict[frozenset[int], object] = {}
@@ -452,12 +493,12 @@ class HeckeAlgebra:
     # -- multiplication -------------------------------------------------------
 
     def _gen_terms(self, terms: Mapping[int, LaurentPoly], s: int, table,
-                   lower: LaurentPoly, higher: LaurentPoly,
-                   fixed: LaurentPoly = ZERO) -> dict[int, LaurentPoly]:
-        """The generator s on a term map, by a row of the module table."""
+                   row: tuple) -> dict[int, LaurentPoly]:
+        """The generator s on a term map, by a row (lower, higher, fixed)."""
         if not 0 <= s < self.system.rank:
             raise ValueError(f"generator index {s} out of range")
         lengths = self.system.lengths
+        lower, higher, fixed = row
         # zero coefficients tested once here, not once per term
         lower, higher = lower or None, higher or None
         out: dict[int, LaurentPoly] = {}
@@ -472,10 +513,53 @@ class HeckeAlgebra:
                 _acc(out, w, c * a)
         return out
 
+    def _step(self, terms: Mapping[int, int], s: int, table,
+              row: tuple[int, int, int]) -> dict[int, int]:
+        """The generator s on a packed term map {w: (v^o c_w)(2^K)}, by a
+        `_packed_row`: the result is packed at o + 1 and may hold zeros."""
+        if not 0 <= s < self.system.rank:
+            raise ValueError(f"generator index {s} out of range")
+        K = PACK_BITS
+        lower, higher, fixed = row
+        lengths = self.system.lengths
+        out: dict[int, int] = {}
+        get = out.get
+        for w, n in terms.items():
+            t = table[w][s]
+            if t == w:
+                out[w] = get(w, 0) + n * fixed
+                continue
+            out[t] = get(t, 0) + (n << K)
+            a = lower if lengths[t] < lengths[w] else higher
+            if a:
+                out[w] = get(w, 0) + n * a
+        return out
+
+    def _steps(self, terms: Mapping[int, LaurentPoly], word, table,
+               row: tuple) -> dict[int, LaurentPoly]:
+        """The generators of `word` on a term map, first letter first: packed
+        once and decoded once where `_fits_steps` holds for the largest
+        input coefficient, else by `_gen_terms` letter by letter."""
+        word = tuple(word)
+        coeffs = [c._c for c in terms.values()]
+        if not _fits_steps(max([0, *(abs(k) for c in coeffs for k in c.values())]),
+                           len(word)):
+            for s in word:
+                terms = self._gen_terms(terms, s, table, row)
+            return dict(terms)
+        K = PACK_BITS
+        lo = min([0, *(e for c in coeffs for e in c)])
+        packed = {w: pack_shifted(c, -lo, bits=K) for w, c in terms.items()}
+        prow = _packed_row(row, K)
+        for s in word:
+            packed = self._step(packed, s, table, prow)
+        shift = len(word) - lo
+        return {w: unpack(n, K, shift) for w, n in packed.items() if n}
+
     def mult_gen_right(self, h: HeckeElt, s: int) -> HeckeElt:
         """h * H_s."""
         return HeckeElt(self, self._gen_terms(_own(self, h), s, self.system._right,
-                                              _VINV_MINUS_V, ZERO))
+                                              _RIGHT_H))
 
     def mult(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
         """The algebra product, expanding h2 along canonical reduced words."""
@@ -484,9 +568,8 @@ class HeckeAlgebra:
         sys = self.system
         out: dict[int, LaurentPoly] = {}
         for y, d in h2.terms.items():
-            cur = {w: c * d for w, c in h1.terms.items()}
-            for s in sys.reduced_word(y):
-                cur = self._gen_terms(cur, s, sys._right, _VINV_MINUS_V, ZERO)
+            cur = self._steps({w: c * d for w, c in h1.terms.items()},
+                              sys.reduced_word(y), sys._right, _RIGHT_H)
             for w, c in cur.items():
                 _acc(out, w, c)
         return HeckeElt(self, out)
@@ -494,7 +577,7 @@ class HeckeAlgebra:
     def kl_gen_mult(self, s: int, h: HeckeElt) -> HeckeElt:
         """Left multiplication by KL_s = H_s + v."""
         return HeckeElt(self, self._gen_terms(_own(self, h), s, self.system._left,
-                                              V_INV, V))
+                                              _KL_H))
 
     # -- bar involution ---------------------------------------------------------
 
@@ -506,13 +589,51 @@ class HeckeAlgebra:
         while u not in basis:
             chain.append(u)
             u = sys._left[u][sys.first[u]]
-        # few distinct values over many entries: one object for each
-        polys = self._bar_polys
+        if not chain:
+            return basis[w]
+        left, first, intern = sys._left, sys.first, self._intern_bar
+        if not _fits_steps(self._bar_bound, len(chain)):
+            for u in reversed(chain):
+                s = first[u]
+                basis[u] = {t: intern(p) for t, p in self._gen_terms(
+                    basis[left[u][s]], s, left, _LEFT_H_INV).items()}
+            return basis[w]
+        # v^l(u) bar(H_u) lies in Z[v], so it is packed at o = l(u); each
+        # distinct value of each length is packed and decoded once
+        K = PACK_BITS
+        row = _packed_row(_LEFT_H_INV, K)
+        o = sys.lengths[u]
+        packed = self._bar_packed.setdefault(o, {})
+        cur = {}
+        for t, p in basis[u].items():
+            n = packed.get(id(p))
+            if n is None:
+                n = packed[id(p)] = pack_shifted(p, o, bits=K)
+            cur[t] = n
         for u in reversed(chain):
-            s = sys.first[u]
-            basis[u] = {t: polys.setdefault(p, p) for t, p in self._gen_terms(
-                basis[sys._left[u][s]], s, sys._left, ZERO, _V_MINUS_VINV).items()}
+            cur = self._step(cur, first[u], left, row)
+            o += 1
+            unpacked = self._bar_unpacked.setdefault(o, {})
+            packed = self._bar_packed.setdefault(o, {})
+            terms = basis[u] = {}
+            for t, n in cur.items():
+                p = unpacked.get(n)
+                if p is None:
+                    if not n:
+                        continue
+                    p = unpacked[n] = intern(unpack(n, K, o))
+                    packed[id(p)] = n
+                terms[t] = p
         return basis[w]
+
+    def _intern_bar(self, p: LaurentPoly) -> LaurentPoly:
+        """The one object of value p among the values of the bar basis
+        (few distinct values over many entries), widening `_bar_bound`."""
+        q = self._bar_polys.get(p)
+        if q is None:
+            q = self._bar_polys[p] = p
+            self._bar_bound = max(self._bar_bound, *map(abs, p._c.values()))
+        return q
 
     def bar(self, h: HeckeElt) -> HeckeElt:
         """The bar involution: coefficients v -> v^-1, H_w -> (H_{w^-1})^-1."""

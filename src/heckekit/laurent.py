@@ -263,7 +263,8 @@ def dot(a: Mapping[int, LaurentPoly], b: Mapping[int, LaurentPoly]) -> LaurentPo
     """sum_w a_w * b_w over two sparse maps of polynomials.
 
     Walks the shorter map and sums every product into one exponent map,
-    so no intermediate polynomial is built.
+    so no intermediate polynomial is built; maps that share no index give
+    the shared ZERO.
     """
     if len(b) < len(a):
         a, b = b, a
@@ -275,6 +276,8 @@ def dot(a: Mapping[int, LaurentPoly], b: Mapping[int, LaurentPoly]) -> LaurentPo
                 for e2, k2 in q._c.items():
                     e = e1 + e2
                     c[e] = c.get(e, 0) + k1 * k2
+    if not c:
+        return ZERO
     out = LaurentPoly.__new__(LaurentPoly)
     out._c = {e: k for e, k in c.items() if k}
     return out
@@ -347,12 +350,13 @@ def _moved(p: LaurentPoly, shift: int, reverse: bool) -> str:
     return f"v^{shift} * ({p})" if shift else f"({p})"
 
 
-def unpack(n: int, bits: int = PACK_BITS) -> LaurentPoly:
-    """The p with pack(p, bits) == n, read off the balanced digits of n."""
+def unpack(n: int, bits: int = PACK_BITS, shift: int = 0) -> LaurentPoly:
+    """The p with pack_shifted(p, shift, bits=bits) == n, read off the
+    balanced digits of n."""
     base = 1 << bits
     half = base >> 1
     c: dict[int, int] = {}
-    e = 0
+    e = -shift
     while n:
         k = n & (base - 1)
         if k >= half:

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 from .hecke import HeckeAlgebra, HeckeElt, KLTable, TermElt, _own
 from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, vpow
 
-_V_PLUS_VINV = V + V_INV
+_KL_M = (V_INV, V, V + V_INV)  # KL_s P_w in M: (lower, higher, fixed)
 
 
 class NotInIdeal(ValueError):
@@ -106,7 +106,7 @@ class ParabolicModule:
         generator table in hecke.py, and KL_s P_x = (v + v^-1) P_x where sx
         is not in W^I, i.e. sx = x t with t in I (Deodhar 1987)."""
         return ParabolicElt(self, self.algebra._gen_terms(
-            _own(self, p), s, self._left, V_INV, V, _V_PLUS_VINV))
+            _own(self, p), s, self._left, _KL_M))
 
     # -- embedding into the Hecke algebra ----------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 # div_exact is no longer called here; it stays bound because
 # perfbench/selftest.py checks that the tracer wraps it in this namespace.
-from .laurent import LaurentPoly, div_exact, vpow  # noqa: F401
+from .laurent import LaurentPoly, div_exact, dot, vpow  # noqa: F401
 from .parabolic import ParabolicElt, ParabolicModule
 
 Term = tuple[int, int, int]  # (element of W^I, grading shift, multiplicity)
@@ -131,11 +131,12 @@ def euler_hom(a: ComplexShape, b: ComplexShape) -> LaurentPoly:
     Summing the Hom-formula graded ranks over term pairs with homological
     signs collapses to sum_w A_w (bar_I B)_w over W^I: A is the character
     of a, and bar_I B = sum_z bar(b_z) PKL_z is the character of b with
-    its KL coefficients b_z = sum of (-1)^deg mult v^shift barred.  The
-    bar-twisted character is cached on the shape next to its character.
+    its KL coefficients b_z = sum of (-1)^deg mult v^shift barred: the
+    pairing `ParabolicModule.pair_embedded_std`, taken here as one `dot`.
+    The bar-twisted character is cached on the shape next to its character.
     """
     if a.module is not b.module:
         raise ValueError("shapes live over different parabolic modules")
     if b._bar_char is None:
         b._bar_char = _kl_sum(b, -1)
-    return a.module.pair_embedded_std(shape_character(a).terms, b._bar_char.terms)
+    return dot(shape_character(a).terms, b._bar_char.terms)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .hecke import TermElt, _acc
 # div_exact: see the note in rouquier.py.
 from .laurent import LaurentPoly, ONE, div_exact, vpow  # noqa: F401
-from .parabolic import ParabolicElt, ParabolicModule
+from .parabolic import _KL_M, ParabolicElt, ParabolicModule
 
 
 class Character(TermElt):
@@ -68,11 +68,10 @@ def kl_decompose(p: ParabolicElt) -> Character:
 def bott_samelson_char(module: ParabolicModule, word) -> Character:
     """Character of the Bott-Samelson object of a generator word over I:
     KL_{s_1} ... KL_{s_k} KL_{w_I}, multiplied out from P_e = KL_{w_I} by
-    `ParabolicModule.kl_gen_mult` and decomposed in the parabolic KL basis."""
-    p = module.delta(0)
-    for s in reversed(tuple(word)):
-        p = module.kl_gen_mult(s, p)
-    return kl_decompose(p)
+    the KL_s row of `ParabolicModule.kl_gen_mult`, as one chain of
+    generator steps (hecke.py), and decomposed in the parabolic KL basis."""
+    terms = module.algebra._steps({0: ONE}, reversed(tuple(word)), module._left, _KL_M)
+    return kl_decompose(ParabolicElt(module, terms))
 
 
 def graded_hom_rank(c1: Character, c2: Character) -> LaurentPoly:

@@ -23,6 +23,10 @@ packed sums when every operand packs within this bound, else `lincomb`
 over the same columns, or `HeckeAlgebra.bar` of each KL element.
 `euler-hom` reads the characters of the shapes through the library's
 `ParabolicModule.from_kl`, which sums packed columns of PKL as well.
+`pairing` and `bs-positivity` apply generators by the packed steps of
+hecke.py: the `pairing` walk picks them once per algebra, where
+3^l(w0) < 2^(K-1), else `_gen_terms`, and `bott_samelson_char` picks
+them once per word.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .hecke import HeckeAlgebra, _VINV_MINUS_V
-from .laurent import PACK_BITS, LaurentPoly, ONE, ZERO, lincomb, pack_shifted
+from .hecke import HeckeAlgebra, _RIGHT_H, _fits_steps, _packed_row
+from .laurent import PACK_BITS, LaurentPoly, ONE, lincomb, pack_shifted, unpack
 from .parabolic import ParabolicModule
 from .rouquier import euler_hom, f_shape, mirror_shape, shape_character
 from .soergel import bott_samelson_char
@@ -292,29 +296,44 @@ def suite_pairing(algebra: HeckeAlgebra, **_) -> SuiteResult:
     H_w H_s only reaches H_{ws} and H_w, so it changes the length of a
     term by at most 1: a term H_w of H_{x^-1} H_y with l(w) > depth(y)
     never reaches H_e in a descendant.  Such terms are dropped, and every
-    trace stays exact."""
+    trace stays exact.
+
+    The walk from H_{x^-1} runs at most l(w0) steps down any branch, so
+    where `_fits_steps(1, l(w0))` holds it steps packed term maps
+    (`HeckeAlgebra._step`): H_{x^-1} H_y is packed at o = l(y), and its
+    trace is 1 exactly when the entry at e is 2^(K l(y)), decoded only
+    for a failure message.  Otherwise it steps `_gen_terms`."""
     res = SuiteResult("pairing")
     sys = algebra.system
-    lengths, n, tree = sys.lengths, sys.size, sys.tree
+    lengths, n, tree, right = sys.lengths, sys.size, sys.tree, sys._right
     # indices ascend with length, so each child follows its parent
     depth = [0] * n
     for y in range(n - 1, 0, -1):
         u = tree[y][0]
         depth[u] = max(depth[u], depth[y] + 1)
+    K = PACK_BITS
+    packed = _fits_steps(1, depth[0])
+    if packed:
+        step, row, one = algebra._step, _packed_row(_RIGHT_H, K), 1
+        units = [1 << K * length for length in lengths]
+    else:
+        step, row, one = algebra._gen_terms, _RIGHT_H, ONE
+        units = [ONE] * n
     stds = [algebra.std(y) for y in range(n)]
     for x in range(n):
-        prods = [{sys._inv[x]: ONE}]
+        prods = [{sys._inv[x]: one}]
         for y in range(1, n):
             u, s = tree[y]
-            terms = algebra._gen_terms(prods[u], s, sys._right, _VINV_MINUS_V, ZERO)
+            terms = step(prods[u], s, right, row)
             prods.append({w: c for w, c in terms.items()
-                          if lengths[w] <= depth[y]})
-        traces = [p.get(0, ZERO) for p in prods]
+                          if c and lengths[w] <= depth[y]})
+        traces = [p.get(0, 0) for p in prods]
         vals = [algebra.pairing(stds[x], hy) for hy in stds]
         failed = [y for y, (t, val) in enumerate(zip(traces, vals))
-                  if ((t != ONE or val != ONE) if x == y else (t or val))]
+                  if ((t != units[y] or val != ONE) if x == y else (t or val))]
         res.add(n, failed, lambda y: (
-            f"eps(a(H[{sys.word_str(x)}]) H[{sys.word_str(y)}]) = {traces[y]}, "
+            f"eps(a(H[{sys.word_str(x)}]) H[{sys.word_str(y)}]) = "
+            f"{unpack(traces[y], K, lengths[y]) if packed else traces[y]}, "
             f"(H[{sys.word_str(x)}], H[{sys.word_str(y)}]) = {vals[y]}"))
     return res
 

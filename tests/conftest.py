@@ -25,3 +25,23 @@ def sys_of():
 def alg_of():
     """Factory returning a session-cached HeckeAlgebra by type name."""
     return _algebra
+
+
+@pytest.fixture
+def step_routes(monkeypatch):
+    """Counts of the packed generator steps (`HeckeAlgebra._step`) and of
+    the `_gen_terms` steps taken from here on, by route."""
+    calls = {"packed": 0, "exact": 0}
+    step, gen_terms = HeckeAlgebra._step, HeckeAlgebra._gen_terms
+
+    def counted_step(self, *args):
+        calls["packed"] += 1
+        return step(self, *args)
+
+    def counted_gen_terms(self, *args):
+        calls["exact"] += 1
+        return gen_terms(self, *args)
+
+    monkeypatch.setattr(HeckeAlgebra, "_step", counted_step)
+    monkeypatch.setattr(HeckeAlgebra, "_gen_terms", counted_gen_terms)
+    return calls

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+import random
 import tracemalloc
 
 import pytest
 
-from heckekit import CoxeterMatrix, GroupTooLarge, UnsupportedBond, build, coxeter
+from heckekit import (CoxeterMatrix, GroupTooLarge, HeckeAlgebra, UnsupportedBond, build,
+                      build_named, coxeter)
 from heckekit.laurent import LaurentPoly, ONE, vpow
 
 from oracles import bruhat_lower_set, embed_via_subgroup, tuple_chamber_action
@@ -148,6 +150,43 @@ def test_unsupported_bond_rank3():
         "bond m(s1,s2) = 5 has no integer root-system realization; "
         "only labels 2, 3, 4, 6 are supported in rank >= 3"
     )
+
+
+@pytest.mark.parametrize("name, factors, columns", [
+    ("I2(5)xA1", ("I2(5)", "A1"), None),
+    ("A1xI2(7)", ("A1", "I2(7)"), None),
+    ("I2(300)xA1", ("I2(300)", "A1"), 8),
+], ids=["I2(5)xA1", "A1xI2(7)", "I2(300)xA1"])
+def test_products_with_a_dihedral_factor_of_any_label(name, factors, columns):
+    # each factor of rank 2 keys its own Z/2m digit, whatever its label;
+    # the letters of different factors commute, so the canonical word of
+    # (a, b) is a's followed by b's, and KL elements multiply:
+    # h_{(a,b),(c,d)} = h_{a,c} h_{b,d}
+    W = build_named(name)
+    F, G = map(build_named, factors)
+    assert W.size == F.size * G.size
+    n = F.rank
+    pair = {}
+    for w in range(W.size):
+        word = W.reduced_word(w)
+        a = tuple(s for s in word if s < n)
+        b = tuple(s - n for s in word if s >= n)
+        assert word == a + tuple(s + n for s in b)
+        x, y = F.element_from_word(a), G.element_from_word(b)
+        assert (F.reduced_word(x), G.reduced_word(y)) == (a, b)
+        assert W.lengths[w] == F.lengths[x] + G.lengths[y]
+        pair[w] = (x, y)
+    assert len(set(pair.values())) == W.size
+    H, HF, HG = HeckeAlgebra(W), HeckeAlgebra(F), HeckeAlgebra(G)
+    xs = range(W.size)
+    if columns:
+        xs = [W.longest] + random.Random(5).sample(range(W.size), columns - 1)
+    for x in xs:
+        c, d = pair[x]
+        kf, kg = HF.kl_basis(c).terms, HG.kl_basis(d).terms
+        assert H.kl_basis(x).terms == {w: kf[pair[w][0]] * kg[pair[w][1]]
+                                       for w in range(W.size)
+                                       if pair[w][0] in kf and pair[w][1] in kg}
 
 
 def test_group_too_large():

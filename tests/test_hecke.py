@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckekit import (CoxeterMatrix, HeckeAlgebra, build, build_named, delta_char,
-                      hecke)
+                      hecke, parabolic)
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, vpow
 
 from oracles import (bar_solve_kl, bar_via_acc, kl_basis_via_gen_mult,
@@ -199,6 +199,125 @@ def test_bar_multiplicative_random(alg_of):
     for _ in range(15):
         h1, h2 = _random_elt(H, rng, 2), _random_elt(H, rng, 2)
         assert H.bar(H.mult(h1, h2)) == H.mult(H.bar(h1), H.bar(h2))
+
+
+# -- packed generator steps ------------------------------------------------------
+
+KERNEL_TYPES = ["A3", "B3", "D4", "A1xA2", "I2(7)"]
+# the largest coefficient size B with B * 3 < 2^63: one step stays packed
+STEP_BOUND = ((1 << 63) - 1) // 3
+
+
+def _rows(H):
+    """(indices, table, row) of every row of the generator table: right
+    H_s, left H_s^-1 and KL_s on H, and KL_s on each module M."""
+    W = H.system
+    everything = range(W.size)
+    out = [(everything, W._right, hecke._RIGHT_H), (everything, W._left, hecke._LEFT_H_INV),
+           (everything, W._left, hecke._KL_H)]
+    for size in range(1, W.rank + 1):
+        for subset in itertools.combinations(range(W.rank), size):
+            M = H.parabolic(subset)
+            out.append((M.reps, M._left, parabolic._KL_M))
+    return out
+
+
+def _random_terms(rng, indices, top):
+    """A term map on a few indices, exponents -3..3, coefficients up to top."""
+    return {w: LaurentPoly({rng.randint(-3, 3): rng.choice([-1, 1]) * rng.randint(1, top)
+                            for _ in range(rng.randint(1, 3))})
+            for w in rng.sample(list(indices), min(4, len(indices)))}
+
+
+@pytest.mark.parametrize("name", KERNEL_TYPES)
+def test_packed_step_matches_gen_terms(alg_of, name, step_routes):
+    # one step of every row and generator, on inputs with negative
+    # exponents, with coefficients at the bound (packed) and one past it
+    # (exact); and chains of up to 6 steps of small coefficients
+    H = alg_of(name)
+    rng = random.Random(17)
+    for indices, table, row in _rows(H):
+        for s in H.system.gens():
+            for top, packed in ((3, 1), (STEP_BOUND, 1), (STEP_BOUND + 1, 0)):
+                terms = _random_terms(rng, indices, top)
+                terms[rng.choice(list(terms))] = LaurentPoly({-2: top, 1: -top})
+                step_routes.update(packed=0, exact=0)
+                got = H._steps(terms, [s], table, row)
+                assert step_routes == {"packed": packed, "exact": 1 - packed}
+                assert got == H._gen_terms(terms, s, table, row), (row, s, top)
+                assert all(got.values())
+        for _ in range(4):
+            word = [rng.randrange(H.system.rank) for _ in range(rng.randint(0, 6))]
+            terms = expected = _random_terms(rng, indices, 5)
+            for s in word:
+                expected = H._gen_terms(expected, s, table, row)
+            step_routes.update(packed=0, exact=0)
+            assert H._steps(terms, word, table, row) == expected, (row, word)
+            assert step_routes == {"packed": len(word), "exact": 0}
+
+
+def test_packed_step_rejects_a_generator_out_of_range(alg_of):
+    H = alg_of("A2")
+    right = H.system._right
+    for s in (-1, H.system.rank):
+        with pytest.raises(ValueError, match=f"^generator index {s} out of range$"):
+            H._steps({0: ONE}, [0, s], right, hecke._RIGHT_H)
+        with pytest.raises(ValueError, match=f"^generator index {s} out of range$"):
+            H._step({0: 1}, s, right, hecke._packed_row(hecke._RIGHT_H, hecke.PACK_BITS))
+
+
+def _word_terms(H, word, table, row, terms):
+    for s in word:
+        terms = H._gen_terms(terms, s, table, row)
+    return terms
+
+
+@pytest.mark.parametrize("name, packed", [("I2(39)", True), ("I2(40)", False)])
+def test_chains_on_both_sides_of_the_gate(name, packed, step_routes):
+    # 3^39 < 2^63 <= 3^40: the chain of bar(H_w0) down the 39 letters of
+    # w0 in I2(39), and each product by H_w0, from coefficients 1, is
+    # packed; in I2(40) each steps _gen_terms.  Both agree with _gen_terms
+    # letter by letter.
+    H = HeckeAlgebra(build_named(name))
+    W = H.system
+    w0, word = W.longest, W.reduced_word(W.longest)
+    chain = {"packed": len(word), "exact": 0} if packed else {
+        "packed": 0, "exact": len(word)}
+    H._bar_of_basis(w0)
+    assert step_routes == chain
+    step_routes.update(packed=0, exact=0)
+    prods = [H.mult(H.std(w0), H.std(w0)), H.mult(H.kl_basis(w0), H.std(w0))]
+    assert step_routes == {k: 2 * n for k, n in chain.items()}
+    for h1, prod in zip((H.std(w0), H.kl_basis(w0)), prods):
+        assert prod.terms == _word_terms(H, word, W._right, hecke._RIGHT_H, h1.terms)
+    # the rest of the basis, one letter past a stored element each, packed
+    # from values the chain of w0 stored by either route
+    step_routes.update(packed=0, exact=0)
+    bars = [H._bar_of_basis(w) for w in range(W.size)]
+    assert step_routes == {"packed": W.size - len(word) - 1, "exact": 0}
+    for w in range(W.size):
+        assert bars[w] == _word_terms(H, reversed(W.reduced_word(w)), W._left,
+                                      hecke._LEFT_H_INV, {0: ONE}), w
+    # every stored value is interned, whichever route decoded it
+    assert sorted(map(id, H._bar_polys.values())) == sorted(
+        {id(p) for b in bars for p in b.values()})
+
+
+def test_bar_chain_gate_reads_the_stored_coefficients(step_routes):
+    # the chain of w0 in I2(39) is packed from H_e (3^39 < 2^63), but not
+    # from a stored bar(H_u) scaled by 2^40: 2^40 * 3^38 >= 2^63, so the 38
+    # steps from u on step _gen_terms, and give 2^40 bar(H_w0)
+    H = HeckeAlgebra(build_named("I2(39)"))
+    W = H.system
+    word = W.reduced_word(W.longest)
+    u = W.element_from_word(word[-1:])
+    big = LaurentPoly.const(1 << 40)
+    start = {t: p * big for t, p in H._bar_of_basis(u).items()}
+    H._bar_basis[u] = {t: H._intern_bar(p) for t, p in start.items()}
+    step_routes.update(packed=0, exact=0)
+    bar_w0 = H._bar_of_basis(W.longest)
+    assert step_routes == {"packed": 0, "exact": 38}
+    assert bar_w0 == _word_terms(H, reversed(word[:-1]), W._left, hecke._LEFT_H_INV, start)
 
 
 # -- Kazhdan-Lusztig basis -----------------------------------------------------------

@@ -268,6 +268,15 @@ def test_lincomb_stores_no_zero_values(pairs):
     assert lincomb([]) == {}
 
 
+@given(term_maps, term_maps)
+def test_dot_of_maps_without_a_common_index_is_the_shared_zero(a, b):
+    b = {w + 6: p for w, p in b.items()}  # the keys of a lie in 0..5
+    for x, y in ((a, b), (b, a)):
+        out = dot(x, y)
+        assert out is ZERO
+        assert out == LaurentPoly()
+
+
 # -- Kronecker packing -------------------------------------------------------------
 
 HALF = 1 << (PACK_BITS - 1)
@@ -316,6 +325,7 @@ def test_pack_rejects_negative_exponent_and_oversized_coefficient():
 @given(packable, st.integers(0, 8))
 def test_pack_shifted_round_trip(p, shift):
     assert unpack(pack_shifted(p, shift)) == vpow(shift) * p
+    assert unpack(pack_shifted(p, shift), shift=shift) == p
     assert pack_shifted(p, shift) == pack(p) << (PACK_BITS * shift)
     assert pack_shifted(p, 0) == pack(p)
 

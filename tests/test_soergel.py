@@ -101,8 +101,9 @@ def test_bs_single_generator(alg_of):
 def test_bs_rejects_bad_generator(alg_of):
     M = alg_of("A3").parabolic([0])
     for s in (-1, 3):
-        with pytest.raises(ValueError, match=f"generator index {s} out of range"):
-            bott_samelson_char(M, [s])
+        for word in ([s], [0, s, 1], [s] + [0] * 40):
+            with pytest.raises(ValueError, match=f"^generator index {s} out of range$"):
+                bott_samelson_char(M, word)
 
 
 def test_bs_worked_example_a3(alg_of):
@@ -141,6 +142,27 @@ def test_bs_char_matches_hecke_route(alg_of, name):
         for word in words:
             c = bott_samelson_char(M, word)
             assert c.coeffs == bott_samelson_via_hecke(M, word), (subset, word)
+
+
+@pytest.mark.parametrize("letters, packed", [(39, True), (40, False)])
+def test_bs_words_on_both_sides_of_the_gate(alg_of, letters, packed, step_routes):
+    # a word of k letters, from P_e with coefficient 1, is one packed chain
+    # while 3^k < 2^63: 39 letters are, 40 step _gen_terms; both equal the
+    # word applied one kl_gen_mult at a time
+    H = alg_of("A2")
+    rng = random.Random(letters)
+    for subset in ([], [0]):
+        M = H.parabolic(subset)
+        word = [rng.randrange(2) for _ in range(letters)]
+        step_routes.update(packed=0, exact=0)
+        c = bott_samelson_char(M, word)
+        assert step_routes == ({"packed": letters, "exact": 0} if packed
+                               else {"packed": 0, "exact": letters})
+        p = M.delta(0)
+        for s in reversed(word):
+            p = M.kl_gen_mult(s, p)
+        assert c == kl_decompose(p), subset
+        assert max(k for q in c.coeffs.values() for k in q._c.values()) > 1 << 30
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])

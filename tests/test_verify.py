@@ -479,6 +479,29 @@ def test_pinned_fault(case):
     assert _faulted(name, suites, corrupt) == [tuple(rest) for _, *rest in expected]
 
 
+@pytest.mark.parametrize("case", [c for c in sorted(PINNED_FAULTS) if "pairing" in c])
+def test_pinned_pairing_faults_on_the_exact_walk(case, monkeypatch, step_routes):
+    # the walk that steps _gen_terms finds the same faults, with the same
+    # messages, as the packed walk
+    monkeypatch.setattr(verify, "_fits_steps", lambda bound, steps: False)
+    name, corrupt, expected = PINNED_FAULTS[case]
+    assert _faulted(name, ["pairing"], corrupt) == [tuple(rest) for _, *rest in expected]
+    assert step_routes["packed"] == 0 and step_routes["exact"] > 0
+
+
+@pytest.mark.parametrize("name, packed", [("I2(39)", True), ("I2(40)", False)])
+def test_pairing_walk_on_both_sides_of_the_gate(name, packed, step_routes):
+    # every walk from H_{x^-1} steps at most l(w0) letters down a branch:
+    # packed while 3^l(w0) < 2^63, as in I2(39), and by _gen_terms in I2(40)
+    H = HeckeAlgebra(build_named(name))
+    n = H.system.size
+    [res] = run_suites(H, ["pairing"])
+    assert res.passed and res.checks == n * n
+    steps = n * (n - 1)
+    assert step_routes == ({"packed": steps, "exact": 0} if packed
+                           else {"packed": 0, "exact": steps})
+
+
 # inversion sums the columns of a module as packed ints, or through
 # lincomb (once per column of each identity, so twice per rep) when an
 # operand does not pack or the longest column breaks the coefficient
