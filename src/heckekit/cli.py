@@ -35,18 +35,20 @@ def _add_common(parser: argparse.ArgumentParser, subset: bool = True) -> None:
                             help='generator labels, e.g. "s1,s2" (default: empty)')
 
 
-def _load_system(args) -> tuple[CoxeterSystem, str]:
+def _load_matrix(args) -> tuple[CoxeterMatrix, str]:
     if args.matrix:
         try:
             matrix = CoxeterMatrix.from_file(args.matrix)
         except OSError as exc:
             raise ValueError(str(exc)) from None
-        label = f"matrix:{args.matrix}"
-    elif args.type:
-        matrix = CoxeterMatrix.from_name(args.type)
-        label = args.type
-    else:
-        raise ValueError("one of --type or --matrix is required")
+        return matrix, f"matrix:{args.matrix}"
+    if args.type:
+        return CoxeterMatrix.from_name(args.type), args.type
+    raise ValueError("one of --type or --matrix is required")
+
+
+def _load_system(args) -> tuple[CoxeterSystem, str]:
+    matrix, label = _load_matrix(args)
     return _build_system(matrix, args.cap), label
 
 
@@ -57,22 +59,39 @@ def _build_system(matrix: CoxeterMatrix, cap: int) -> CoxeterSystem:
 
 
 def _load_module(args) -> tuple[ParabolicModule, str]:
-    """The module of --subset over the system of `_load_system`, and its label."""
-    system, label = _load_system(args)
+    """The module of --subset and its system's label.
+
+    A non-empty subset of a Cartan system of finite type takes W^I alone
+    (`quotient.build`), and --cap bounds |W^I|.  Every other input, a
+    subset with a bad label included, builds W first, so its errors come
+    in the order they always have."""
+    # loaded here, so the subcommands that need W alone never load it
+    from . import quotient
+
+    matrix, label = _load_matrix(args)
     tokens = args.subset.split(",") if args.subset.strip() else []
-    subset = [system.gen_index(tok.strip()) for tok in tokens]
+    tokens = [tok.strip() for tok in tokens]
+    try:
+        subset = [matrix.gen_index(tok) for tok in tokens]
+    except ValueError:
+        subset = []
+    if subset and args.cap >= 1 and quotient.realizable(matrix):
+        system = quotient.build(matrix, subset, args.cap)
+    else:
+        system = _build_system(matrix, args.cap)
+        subset = [system.gen_index(tok) for tok in tokens]
     return HeckeAlgebra(system).parabolic(subset), label
 
 
-def _parse_rep(module, text: str) -> int:
+def _parse_rep(module, text: str, cap: int) -> int:
     system = module.system
-    w = system.parse_element(text)
-    if not system.is_min_coset_rep(w, module.subset):
-        raise ValueError(
-            f"{system.word_str(w)} is not a minimal coset representative "
-            f"for the chosen subset"
-        )
-    return w
+    try:
+        return system.parse_min_rep(text, module.subset)
+    except ValueError:
+        # the route through W builds W before it reads a word, so there
+        # an input error behind |W| > cap reads as the cap's error
+        system.check_group(cap)
+        raise
 
 
 def _print_json(obj) -> None:
@@ -170,7 +189,7 @@ def cmd_inverse_tables(args) -> int:
 
 def cmd_rouquier_shape(args) -> int:
     module, label = _load_module(args)
-    x = _parse_rep(module, args.x)
+    x = _parse_rep(module, args.x, args.cap)
     shape = (rouquier.e_shape if args.negative else rouquier.f_shape)(module, x)
     if args.format == "json":
         _print_json({
@@ -188,8 +207,8 @@ def cmd_rouquier_shape(args) -> int:
 
 def cmd_hom_rank(args) -> int:
     module, label = _load_module(args)
-    x = _parse_rep(module, args.x)
-    y = _parse_rep(module, args.y)
+    x = _parse_rep(module, args.x, args.cap)
+    y = _parse_rep(module, args.y, args.cap)
     rank = soergel.graded_hom_rank(
         soergel.delta_char(module, x), soergel.delta_char(module, y)
     )

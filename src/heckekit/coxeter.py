@@ -33,6 +33,10 @@ I2(5)xA1); each such factor gets a Z/2m digit of its own above the Cartan
 digits of the other generators.  Either way distinct elements get
 distinct keys.  Non-crystallographic bonds in irreducible factors of rank
 >= 3 (H3, H4, ...) are rejected.
+
+In a Cartan system of finite type, W^I alone is the orbit of one
+functional under the same step (quotient.py); both orbits run through
+`_orbit`.
 """
 
 from __future__ import annotations
@@ -40,14 +44,17 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .laurent import LaurentPoly
 
 DEFAULT_CAP = 50_000
 
-# bits per coordinate of a packed chamber key (see `_chamber_action`)
+# bits per coordinate of a packed chamber key, its bias and digit mask
+# (see `_chamber_action`)
 _KEY_BITS = 32
+_BIAS = 1 << _KEY_BITS - 1
+_MASK = (1 << _KEY_BITS) - 1
 
 # products a_st * a_ts of the integer Cartan pairing realizing each bond
 _CRYSTAL_PAIRS = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3)}
@@ -89,6 +96,13 @@ class CoxeterMatrix:
 
     def bond(self, i: int, j: int) -> int:
         return self.m[i][j]
+
+    def gen_index(self, label: str) -> int:
+        """The index of "s1".."sn": ASCII digits, no sign, space or leading 0."""
+        m = _GEN_RE.fullmatch(label)
+        if m and int(m.group(1)) <= self.rank:
+            return int(m.group(1)) - 1
+        raise ValueError(f"unknown generator label {label!r}")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CoxeterMatrix) and self.m == other.m
@@ -205,6 +219,29 @@ def _named_factor_bonds(factor: str) -> tuple[int, dict[tuple[int, int], int]]:
 # element realizations
 
 
+def _cartan_matrix(matrix: CoxeterMatrix) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """(a, others): the integer Cartan matrix over the labels in {2, 3, 4,
+    6}, 0 elsewhere, and the pairs i < j of the other labels, each the two
+    generators of a dihedral factor (else UnsupportedBond)."""
+    n = matrix.rank
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    others = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            label = matrix.bond(i, j)
+            if label in _CRYSTAL_PAIRS:
+                a[i][j], a[j][i] = _CRYSTAL_PAIRS[label]
+            elif _is_dihedral_factor(matrix, i, j):
+                others.append((i, j))
+            else:
+                raise UnsupportedBond(
+                    f"bond m(s{i + 1},s{j + 1}) = {label} has no integer "
+                    "root-system realization; only labels 2, 3, 4, 6 are "
+                    "supported in rank >= 3"
+                )
+    return a, others
+
+
 def _chamber_action(matrix: CoxeterMatrix):
     """(identity key, step) with key(w s) = step(s, key(w)), keys distinct.
 
@@ -220,9 +257,11 @@ def _chamber_action(matrix: CoxeterMatrix):
     key - f_i row_i, where f_i is read off digit i; as a[i][i] = 2,
     digit i becomes -f_i + B.  The product is exact only while every
     image coordinate lies in (-B, B), so a step raises GroupTooLarge
-    when |f_i| >= L = 2^(D-3).  `build` steps a key by every generator
-    before it completes the key's row, so all coordinates of an expanded
-    key pass, |f_j| < L; the off-diagonal entries have |a[i][j]| <= 3,
+    when |f_i| >= L = 2^(D-3).  `_orbit` steps a key by every generator
+    before the next key, skipping each s whose neighbour k' is known: its
+    digit s is -f_s of k', checked when k' stepped.  So every coordinate
+    of an expanded key has |f_j| < L, and GroupTooLarge is raised at the
+    same step as with no step skipped.  The off-diagonal entries have |a[i][j]| <= 3,
     so |f_j - a[i][j] f_i| < L + 3L = B and every digit of the image is
     exact.  Finite types stay far inside: no coordinate exceeds the
     height of the highest root, 29 in E8.
@@ -232,30 +271,19 @@ def _chamber_action(matrix: CoxeterMatrix):
         m2 = 2 * matrix.bond(0, 1)
         return 0, lambda s, i: (2 * s - 1 - i) % m2
     # a[i][j] = <alpha_j, alpha_i^vee>, so s_i(alpha_j) = alpha_j - a[i][j] alpha_i
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    a, others = _cartan_matrix(matrix)
     # generator -> (digit shift, 2m, side 0 or 1) in a dihedral factor
     dihedral: dict[int, tuple[int, int, int]] = {}
     top = _KEY_BITS * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            label = matrix.bond(i, j)
-            if label in _CRYSTAL_PAIRS:
-                a[i][j], a[j][i] = _CRYSTAL_PAIRS[label]
-            elif _is_dihedral_factor(matrix, i, j):
-                dihedral[i], dihedral[j] = (top, 2 * label, 0), (top, 2 * label, 1)
-                top += (2 * label).bit_length()
-            else:
-                raise UnsupportedBond(
-                    f"bond m(s{i + 1},s{j + 1}) = {label} has no integer "
-                    "root-system realization; only labels 2, 3, 4, 6 are "
-                    "supported in rank >= 3"
-                )
+    for i, j in others:
+        label = matrix.bond(i, j)
+        dihedral[i], dihedral[j] = (top, 2 * label, 0), (top, 2 * label, 1)
+        top += (2 * label).bit_length()
 
-    bias = 1 << _KEY_BITS - 1
+    bias, mask = _BIAS, _MASK
     limit = bias >> 2
     shifts = [_KEY_BITS * i for i in range(n)]
     rows = [sum(aij << shift for aij, shift in zip(row, shifts)) for row in a]
-    mask = (1 << _KEY_BITS) - 1
 
     def step(i: int, key: int) -> int:
         fi = (key >> shifts[i] & mask) - bias
@@ -358,11 +386,7 @@ class CoxeterSystem:
         return f"s{s + 1}"
 
     def gen_index(self, label: str) -> int:
-        """The index of "s1".."sn": ASCII digits, no sign, space or leading 0."""
-        m = _GEN_RE.fullmatch(label)
-        if m and int(m.group(1)) <= self.rank:
-            return int(m.group(1)) - 1
-        raise ValueError(f"unknown generator label {label!r}")
+        return self.matrix.gen_index(label)
 
     def word_str(self, w: int) -> str:
         word = self.reduced_word(w)
@@ -477,16 +501,17 @@ class CoxeterSystem:
         key = self.subset(subset)
         maps = self._automorphisms.get(key)
         if maps is None:
-            right, steps = self._right, self.tree[1:]
-            maps = []
-            for p in _graph_automorphisms(self.matrix.m, key):
-                # each u comes before its w = u s
-                phi = [0]
-                for u, s in steps:
-                    phi.append(right[phi[u]][p[s]])
-                maps.append(tuple(phi))
-            maps = self._automorphisms[key] = tuple(maps)
+            maps = self._automorphisms[key] = tuple(
+                map(self._extend, _graph_automorphisms(self.matrix.m, key)))
         return maps
+
+    def _extend(self, p: tuple[int, ...]) -> tuple[int, ...]:
+        """The index map of phi(u s) = phi(u) p(s), along the discovery
+        tree, where each u comes before its w = u s."""
+        right, phi = self._right, [0]
+        for u, s in self.tree[1:]:
+            phi.append(right[phi[u]][p[s]])
+        return tuple(phi)
 
     # -- parabolic subgroups and cosets ---------------------------------------
 
@@ -518,6 +543,22 @@ class CoxeterSystem:
     def longest_in(self, subset: Iterable[int]) -> int:
         return self.subgroup(subset)[-1]
 
+    def longest_length_in(self, subset: Iterable[int]) -> int:
+        """l(w_I), the length of the longest element of W_I."""
+        return self.lengths[self.longest_in(subset)]
+
+    def opposites(self, subset: Iterable[int]) -> dict[int, int]:
+        """r -> w0 r w_I = rep[w0 r] over W^I, an order-reversing
+        involution of W^I, in a fresh dict."""
+        rep = self._coset_reps(subset)
+        return {r: rep[self.mult(self.longest, r)] for r in self.min_reps(subset)}
+
+    def coset_action(self, subset: Iterable[int]) -> Mapping[int, Sequence[int]]:
+        """r -> (rep[s r] for each generator s) over W^I: s r, or r itself
+        where s r = r t with t in I (Deodhar 1987)."""
+        rep = self._coset_reps(subset)
+        return {r: tuple(rep[sr] for sr in self._left[r]) for r in self.min_reps(subset)}
+
     def poincare(self, subset: Iterable[int]) -> LaurentPoly:
         """Poincare polynomial of W_I: sum of v^(2 l(w)) over W_I."""
         return LaurentPoly((2 * self.lengths[w], 1) for w in self.subgroup(subset))
@@ -531,6 +572,19 @@ class CoxeterSystem:
         """W^I in enumeration order."""
         return tuple(w for w, r in enumerate(self._coset_reps(subset)) if r == w)
 
+    def check_group(self, cap: int) -> None:
+        """Raise the GroupTooLarge of `build(matrix, cap)` if |W| > cap."""
+        if self.size > cap:
+            raise _too_large(cap)
+
+    def parse_min_rep(self, text: str, subset: Iterable[int]) -> int:
+        """The element of a dotted word (`parse_element`), which must lie
+        in W^I; the word need not be reduced."""
+        w = self.parse_element(text)
+        if not self.is_min_coset_rep(w, subset):
+            raise _not_a_rep(self.word_str(w))
+        return w
+
     def coset_decompose(self, w: int, subset: Iterable[int]) -> tuple[int, int]:
         """Split w = y * u with y minimal in w W_I, u in W_I, lengths adding."""
         self._check_element(w)
@@ -541,6 +595,47 @@ class CoxeterSystem:
         """The projection W -> W/W_I composed with the minimal-rep section."""
         self._check_element(w)
         return self._coset_reps(subset)[w]
+
+
+def _not_a_rep(word: str) -> ValueError:
+    return ValueError(f"{word} is not a minimal coset representative "
+                      f"for the chosen subset")
+
+
+def _too_large(cap: int) -> GroupTooLarge:
+    return GroupTooLarge(f"more than {cap} elements; the group is "
+                         "infinite or the cap is too small")
+
+
+def _orbit(identity, step, rank: int, cap: int):
+    """(lengths, tree, rows) of the breadth-first orbit of `identity`:
+    rows[u][s] indexes step(s, key u), tree[w] = (u, s) first reached w.
+    Stepping u to w records u as w's s-neighbour, which is not stepped
+    again (`_chamber_action`).  GroupTooLarge past `cap` keys."""
+    keys = [identity]
+    index = {identity: 0}
+    lengths = [0]
+    tree = [None]
+    rows = [[None] * rank]
+    gens = range(rank)
+    for u, key in enumerate(keys):
+        row = rows[u]
+        for s in gens:
+            if row[s] is not None:
+                continue
+            k2 = step(s, key)
+            w = index.get(k2)
+            if w is None:
+                w = index[k2] = len(keys)
+                if w >= cap:
+                    raise _too_large(cap)
+                keys.append(k2)
+                lengths.append(lengths[u] + 1)
+                tree.append((u, s))
+                rows.append([None] * rank)
+            row[s] = w
+            rows[w][s] = u
+    return lengths, tree, rows
 
 
 def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
@@ -555,35 +650,14 @@ def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
     if cap < 1:
         raise ValueError("cap must be positive")
     identity, step = _chamber_action(matrix)
-    gens = range(matrix.rank)
 
     # Elements are extended on the right in index order, generators in
     # order, so each w is first reached from the (u, s) that minimises
     # (word(u), s), word(u) the canonical word of u.  word(u) + (s,) is
     # then w's lexicographically smallest reduced word, and discovery
     # order is the canonical order; `tree` keeps each (u, s).
-    keys = [identity]
-    index = {identity: 0}
-    lengths = [0]
-    tree = [None]
-    right = []
-    for u, key in enumerate(keys):
-        row = []
-        for s in gens:
-            k2 = step(s, key)
-            w = index.get(k2)
-            if w is None:
-                w = index[k2] = len(keys)
-                if w >= cap:
-                    raise GroupTooLarge(
-                        f"more than {cap} elements; the group is "
-                        "infinite or the cap is too small"
-                    )
-                keys.append(k2)
-                lengths.append(lengths[u] + 1)
-                tree.append((u, s))
-            row.append(w)
-        right.append(tuple(row))
+    lengths, tree, rows = _orbit(identity, step, matrix.rank, cap)
+    right = tuple(map(tuple, rows))
 
     # w = u s is filled from u, which comes earlier: w begins with the
     # first letter of u (with s if u = e), t w = (t u) s, and
@@ -596,7 +670,7 @@ def build(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
         left.append(tuple([right[tu][s] for tu in left[u]]))
         inv.append(left[inv[u]][s])
     return CoxeterSystem(matrix, tuple(lengths), tuple(tree), tuple(first),
-                         tuple(right), tuple(left), tuple(inv))
+                         right, tuple(left), tuple(inv))
 
 
 def build_named(name: str, cap: int = DEFAULT_CAP) -> CoxeterSystem:

@@ -9,8 +9,11 @@ Soergel, Represent. Theory 1 (1997), §3).  The KL bases of both are
 `KLTable`s over W^I, the recursion of H (hecke.py) with the action above,
 so no element of H is computed; for I = {} both modules are H and read
 its table.  PKL_x embeds as KL_{x w_I}.  Every coset fact is read off
-rep[w] = min w W_I: W^I is where rep[x] = x, KL_s reads rep[sx], rep[w0 x]
-is w0 x w_I, and P_y embeds onto each H_w with rep[w] = y.  The inverse
+the system: rep[w] = min w W_I, so W^I is where rep[x] = x, KL_s reads
+rep[sx], and P_y embeds onto each H_w with rep[w] = y; l(w_I); and
+x -> w0 x w_I.  Over a `quotient.CosetSystem`, W^I enumerated without W,
+every index is a rep and rep is the identity; `embed` and `extract`,
+which need W, raise there.  The inverse
 parabolic KL polynomials, the solution g_{x,z} of
 
     sum_y (-1)^(l(y) - l(x)) g_{x,y} h_{y,z} = delta_{x,z},
@@ -53,20 +56,25 @@ class ParabolicModule:
         self.algebra = algebra
         self.system = sys = algebra.system
         self.subset = sys.subset(subset)
-        self.w_long = sys.longest_in(self.subset)
-        self.shift = sys.lengths[self.w_long]
+        self.shift = sys.longest_length_in(self.subset)
         self.reps = sys.min_reps(self.subset)
-        self._rep = rep = sys._coset_reps(self.subset)
-        # r -> w0 r w_I = rep[w0 r], an order-reversing involution of W^I
-        self._opposite = {r: rep[sys.mult(sys.longest, r)] for r in self.reps}
+        self._rep = sys._coset_reps(self.subset)
+        # r -> w0 r w_I, an order-reversing involution of W^I
+        self._opposite = sys.opposites(self.subset)
         # KL_s and the KL tables of M and N, N's the one store of g: H's for I = {}
         self._left = sys._left
         self._pkl = self._nkl = algebra._kl
         if self.subset:
             # KL_s on W^I: sw, or w where sw = w t with t in I (Deodhar 1987)
-            self._left = {w: tuple(rep[sw] for sw in sys._left[w]) for w in self.reps}
+            self._left = sys.coset_action(self.subset)
             self._pkl = KLTable(sys, self._left, True, algebra._packing, self.subset)
             self._nkl = KLTable(sys, self._left, False, algebra._packing, self.subset)
+
+    @property
+    def w_long(self) -> int:
+        """w_I, the longest element of W_I: an element of W, so not
+        available over a `CosetSystem`."""
+        return self.system.longest_in(self.subset)
 
     def subset_labels(self) -> list[str]:
         return [self.system.gen_label(s) for s in sorted(self.subset)]
@@ -117,6 +125,8 @@ class ParabolicModule:
         so H_y KL_{w_I} = sum_u v^(l(w_I) - l(u)) H_{y u}: each H_w takes
         the coefficient of its rep y = rep[w] times v^(l(w_I) - l(w) + l(y)).
         """
+        if self.system.tree is None:  # W^I alone (quotient.py)
+            raise ValueError("a module over W^I alone has no embedding into H")
         terms, lengths = p.terms, self.system.lengths
         return HeckeElt(self.algebra, {
             w: terms[y] * vpow(self.shift - lengths[w] + lengths[y])

@@ -99,7 +99,8 @@ class _Packer(dict):
     shift, reverse) to `pack_shifted(p, shift, reverse)`, packed once per
     value (F4 has 3,172 distinct values among the 396,809 entries of
     v^l(w) bar(H_w)).  `top` and `degree` are the largest coefficient size
-    and exponent of every value packed."""
+    and exponent of every value packed, or bounds on them that a caller
+    widened them to for operands it packed elsewhere."""
 
     def __init__(self):
         super().__init__()
@@ -150,15 +151,25 @@ def suite_bar_invariance(algebra: HeckeAlgebra, **_) -> SuiteResult:
     v^l(x) bar(KL_x) = sum_w v^(l(x)-l(w)) bar(h_{w,x}) v^l(w) bar(H_w)
     is summed as packed ints (the digits of h_{w,x} reversed) when every
     operand packs within the bound for the longest sum; otherwise each
-    KL_x goes through `HeckeAlgebra.bar`."""
+    KL_x goes through `HeckeAlgebra.bar`.  The packed v^l(w) bar(H_w) are
+    read off `HeckeAlgebra._bar_packed` where the bar basis filled them."""
     res = SuiteResult("bar-invariance")
     sys = algebra.system
     lengths = sys.lengths
     kls = [algebra.kl_basis(x) for x in range(sys.size)]
     pk = _Packer()
     try:
-        bars = {w: {y: pk(a, lengths[w]) for y, a in algebra._bar_of_basis(w).items()}
-                for w in range(sys.size)}
+        bars = {}
+        for w in range(sys.size):
+            terms = algebra._bar_of_basis(w)
+            # the packed route of the bar basis keeps each value packed at
+            # l(w); the exact route packs nothing, so its values go through pk
+            known = algebra._bar_packed.get(lengths[w], {})
+            bars[w] = {y: known.get(id(a)) or pk(a, lengths[w]) for y, a in terms.items()}
+        # every value of v^l(w) bar(H_w) has coefficients of size at most
+        # `_bar_bound` and exponents in [0, 2 l(w)]
+        pk.top = max(pk.top, algebra._bar_bound)
+        pk.degree = max(pk.degree, 2 * lengths[sys.longest])
         # a sum is read only if every operand, all packed by now, keeps the bound
         fixed = [_packed_lincomb([(pk(p, lengths[x] - lengths[w], True), bars[w])
                                   for w, p in kl.terms.items()])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from heckekit import cli
+from heckekit import cli, coxeter, quotient
 from heckekit.cli import main
 from heckekit.hecke import HeckeAlgebra
 from heckekit.parabolic import ParabolicModule
@@ -319,11 +319,86 @@ def test_matrix_file_input(tmp_path, capsys):
      "degree-one"),
     (["verify", "--type", "A1", "--words", "-3"],
      "bs_words must be non-negative, got -3"),
+    # module subcommands on A3 take W^I alone
+    (["parabolic-tables", "--type", "A3", "--subset", "s1,s9"],
+     "unknown generator label 's9'"),
+    (["rouquier-shape", "--type", "A3", "--subset", "s1", "q5"],
+     "unknown generator label 'q5'"),
+    (["hom-rank", "--type", "A3", "--subset", "s1", "s1", "e"],
+     "s1 is not a minimal coset representative for the chosen subset"),
+    (["rouquier-shape", "--type", "A3", "--subset", "s2", "s1.s3.s3.s2"],
+     "s1.s2 is not a minimal coset representative for the chosen subset"),
+    # W is built first on the route through W, so its cap comes first
+    (["hom-rank", "--type", "E7", "--subset", "s1,s2,s3,s4,s5,s6", "s7", "q5"],
+     "more than 50000 elements; the group is infinite or the cap is too small"),
 ], ids=["matrix-file", "no-system", "cap", "example-cap", "subset-label",
-        "element-word", "coset-rep", "shape-coset-rep", "suite-name", "words"])
-def test_input_error_lines(capsys, argv, line):
+        "element-word", "coset-rep", "shape-coset-rep", "suite-name", "words",
+        "quotient-subset-label", "quotient-element-word", "quotient-coset-rep",
+        "quotient-non-reduced-coset-rep", "quotient-behind-the-cap"])
+def test_input_error_lines(capsys, monkeypatch, argv, line):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {line}\n")
+    # the route through W prints the same
+    monkeypatch.setattr(quotient, "realizable", lambda matrix: False)
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("rouquier-shape", "--type", "A3", "--subset", "s1", "s3.s1.s1.s2", "--format", "json"),
+    ("hom-rank", "--type", "B3", "--subset", "s1,s3", "s2.s2.s2", "s1.s2.s1.s1.s3.s2"),
+    ("rouquier-shape", "--type", "D4", "--subset", "s2", "s1.s2.s3.s2.s4.s2.s1", "--negative"),
+])
+def test_quotient_route_prints_as_the_route_through_w(capsys, monkeypatch, argv):
+    # non-reduced words of reps are read and printed by their canonical words
+    got = run_cli(capsys, *argv)
+    monkeypatch.setattr(quotient, "realizable", lambda matrix: False)
+    assert got == run_cli(capsys, *argv)
+    assert got[0] == 0
+
+
+@pytest.mark.parametrize("matrix, argv, alone", [
+    (None, ("parabolic-tables", "--type", "A3", "--subset", "s1"), True),
+    (None, ("inverse-tables", "--type", "A3"), False),
+    (None, ("hom-rank", "--type", "B2", "--subset", "s1", "s2", "e"), False),
+    (None, ("rouquier-shape", "--type", "I2(5)xA1", "--subset", "s3", "s1"), False),
+    ("3 3 3 3", ("parabolic-tables", "--cap", "1000", "--subset", "s1"), False),
+    ("3 6 6 6", ("parabolic-tables", "--subset", "s1"), False),
+])
+def test_module_subcommands_take_w_i_alone_only_where_realizable(
+        capsys, monkeypatch, tmp_path, matrix, argv, alone):
+    # I = {}, rank 2, a dihedral factor and infinite groups build W
+    routes = []
+    for module in (coxeter, quotient):
+        def record(*args, _name=module.__name__, _fn=module.build, **kwargs):
+            routes.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, "build", record)
+    if matrix:
+        path = tmp_path / "m.txt"
+        path.write_text(matrix)
+        argv = (*argv, "--matrix", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert routes == (["heckekit.quotient"] if alone else ["heckekit.coxeter"])
+    if matrix:
+        cap = 1000 if "--cap" in argv else 50000
+        assert (code, out, err) == (2, "", f"error: more than {cap} elements; "
+                                    "the group is infinite or the cap is too small\n")
+    else:
+        assert code == 0
+
+
+def test_e7_over_e6_runs_under_the_cap_of_its_cosets(capsys):
+    # E7 has 2,903,040 elements and E7 / E6 56 cosets; sha256 recorded on
+    # the W^I route after inversion, positivity, parity and degree-one
+    # passed on the module, as no route through W fits under the cap
+    subset = ("--subset", "s1,s2,s3,s4,s5,s6")
+    for command, digest in (
+            ("parabolic-tables", "9b062ef8c4e2f630e58b23179100c049f9077dc57720d1ea8defd9a5f388225e"),
+            ("inverse-tables", "abbaa4bd704730258f8b0b723556c13290bee334c6c5152b4cf93f01f0cc4098")):
+        code, out, _ = run_cli(capsys, command, "--type", "E7", *subset)
+        assert code == 0
+        assert len({row.split("\t")[1] for row in out.splitlines()[1:]}) == 56
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- the parser ---------------------------------------------------------------

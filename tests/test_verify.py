@@ -1,6 +1,6 @@
 import pytest
 
-from heckekit import HeckeAlgebra, build_named, run_suites, verify
+from heckekit import HeckeAlgebra, build_named, hecke, run_suites, verify
 from heckekit.laurent import ONE, V, LaurentPoly, lincomb, pack_shifted, unpack
 from heckekit.verify import SUITES, SuiteResult
 
@@ -589,3 +589,31 @@ def test_bar_invariance_packs_each_operand_once(name, monkeypatch):
     [res] = run_suites(HeckeAlgebra(build_named(name)), ["bar-invariance"])
     assert res.passed, res.first_failure
     assert keys and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("name", ["B3", "D4"])
+def test_bar_invariance_reads_the_packed_bar_basis(name, monkeypatch):
+    # the bar basis keeps every value it fills on the packed route packed
+    # at l(w), so the suite packs the KL operands alone; after the exact
+    # route, which keeps none, it packs the bar values too, alike
+    keys = []
+
+    def recorded(p, shift, reverse=False):
+        keys.append((p, shift, reverse))
+        return pack_shifted(p, shift, reverse)
+
+    def kl_operands(H):
+        lengths = H.system.lengths
+        return {key for x in range(H.system.size) for w, p in H._kl[x].items()
+                for key in ((p, lengths[x] - lengths[w], True), (p, lengths[x], False))}
+
+    monkeypatch.setattr(verify, "pack_shifted", recorded)
+    H = HeckeAlgebra(build_named(name))
+    [res] = run_suites(H, ["bar-invariance"])
+    assert res.passed and H._bar_packed
+    assert keys and set(keys) <= kl_operands(H)
+    keys.clear()
+    monkeypatch.setattr(hecke, "_fits_steps", lambda bound, steps: False)
+    H = HeckeAlgebra(build_named(name))
+    assert run_suites(H, ["bar-invariance"]) == [res]
+    assert not H._bar_packed and set(keys) - kl_operands(H)
