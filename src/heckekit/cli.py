@@ -8,6 +8,14 @@ the status of a shell command killed by SIGPIPE, with nothing on stderr.
 
 Only the subcommand a call runs gets a parser, built when argparse
 dispatches to it; `main` builds a fresh tree per call (see `make_parser`).
+
+Each subcommand loads only the layers it runs.  Importing this module
+loads `laurent`, `coxeter` and `hecke`, all that `kl-table` runs.  The
+module subcommands add `parabolic` (through `HeckeAlgebra.parabolic`)
+and `quotient` (in `_load_module`); `rouquier-shape` adds `rouquier`,
+`hom-rank` `soergel`; `example-a3` adds `parabolic` and `soergel`;
+`verify` adds every layer but `quotient`.  The subcommand imports its
+layer when it runs, as `_load_module` imports `quotient`.
 """
 
 from __future__ import annotations
@@ -16,11 +24,14 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import coxeter, rouquier, soergel, verify
+from . import coxeter
 from .coxeter import CoxeterMatrix, CoxeterSystem, GroupTooLarge
 from .hecke import HeckeAlgebra
-from .parabolic import ParabolicModule
+
+if TYPE_CHECKING:
+    from .parabolic import ParabolicModule
 
 
 def _add_common(parser: argparse.ArgumentParser, subset: bool = True) -> None:
@@ -188,6 +199,8 @@ def cmd_inverse_tables(args) -> int:
 
 
 def cmd_rouquier_shape(args) -> int:
+    from . import rouquier
+
     module, label = _load_module(args)
     x = _parse_rep(module, args.x, args.cap)
     shape = (rouquier.e_shape if args.negative else rouquier.f_shape)(module, x)
@@ -206,6 +219,8 @@ def cmd_rouquier_shape(args) -> int:
 
 
 def cmd_hom_rank(args) -> int:
+    from . import soergel
+
     module, label = _load_module(args)
     x = _parse_rep(module, args.x, args.cap)
     y = _parse_rep(module, args.y, args.cap)
@@ -226,6 +241,8 @@ def cmd_hom_rank(args) -> int:
 
 
 def cmd_example_a3(args) -> int:
+    from . import soergel
+
     system = _build_system(CoxeterMatrix.from_name("A3"), args.cap)
     algebra = HeckeAlgebra(system)
     module = algebra.parabolic([0, 1])
@@ -244,6 +261,8 @@ def cmd_example_a3(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     system, label = _load_system(args)
     algebra = HeckeAlgebra(system)
     names = None
@@ -315,6 +334,8 @@ def _fill_example_a3(p: argparse.ArgumentParser) -> None:
 
 
 def _fill_verify(p: argparse.ArgumentParser) -> None:
+    from . import verify
+
     _add_common(p, subset=False)
     p.add_argument("--suite", default="",
                    help=f"comma-separated suite names (default: all); "

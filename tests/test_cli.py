@@ -132,7 +132,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         return [SuiteResult("pairing", checks=1, failures=1,
                             first_failure="injected")]
 
-    monkeypatch.setattr("heckekit.cli.verify.run_suites", failing)
+    monkeypatch.setattr("heckekit.verify.run_suites", failing)
     code, out, _ = run_cli(capsys, "verify", "--type", "A1")
     assert code == 1
     assert "FAIL" in out and "injected" in out
