@@ -109,21 +109,36 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=False))
 
 
+def _names(system: CoxeterSystem, elements) -> dict[int, str]:
+    """`word_str` of each element: a canonical word is lexicographically
+    least, so it is the first letter s of w followed by the canonical
+    word of s w, which lies in W^I with w and comes before it."""
+    first, left = system.first, system._left
+    labels = [system.gen_label(s) for s in range(system.rank)]
+    name = {0: "e"}
+    for w in elements:
+        if w:
+            s = first[w]
+            u = left[w][s]
+            name[w] = f"{labels[s]}.{name[u]}" if u else labels[s]
+    return name
+
+
 def _print_table(system: CoxeterSystem, elements, fmt: str, head: dict,
                  keys: tuple[str, str, str], header: str, columns) -> None:
-    """Print a table given as columns (b, {a: p}) over `elements`: rows
-    (a, b, p), a ascending within each column, as TSV lines below `header`
-    or as JSON, `head` with a "rows" list of objects with the given keys,
-    byte for byte what json.dumps(indent=2) writes.  Every column holds
-    its diagonal entry; the first must not be empty, since it is the one
-    whose leading JSON separator is dropped.
+    """Print a table given as columns (b, {a: p}) over `elements`, each
+    with its keys a ascending: rows (a, b, p) in column order, as TSV
+    lines below `header` or as JSON, `head` with a "rows" list of objects
+    with the given keys, byte for byte what json.dumps(indent=2) writes.
+    Every column holds its diagonal entry; the first must not be empty,
+    since it is the one whose leading JSON separator is dropped.
 
     Each column is written as one joined string.  A table repeats few
     words and few distinct polynomials many times, so each word, the
     part of a row shared by a column, and the text of each polynomial
     object, with its row end, are rendered once; the KL tables intern
     their values, so that is once per distinct polynomial."""
-    name = {w: system.word_str(w) for w in elements}
+    name = _names(system, elements)
     if fmt == "json":
         ka, kb, kp = (f"      {json.dumps(k)}: " for k in keys)
         name = {w: json.dumps(t) for w, t in name.items()}
@@ -145,22 +160,26 @@ def _print_table(system: CoxeterSystem, elements, fmt: str, head: dict,
     # keyed by id: the columns keep every value alive, so no id is reused,
     # and equal values render alike
     texts: dict[int, str] = {}
+
+    def rows(col, mid: str) -> str:
+        # each row is three parts: the word of a, `mid` and the text of p
+        parts = [mid] * (3 * len(col))
+        parts[::3] = map(first.__getitem__, col.keys())
+        parts[2::3] = map(texts.__getitem__, map(id, col.values()))
+        return "".join(parts)
+
     write = sys.stdout.write
     write(opening)
     for b, col in columns:
         mid = before + name[b] + after
-        parts: list[str] = []
-        add = parts.append
-        for a in sorted(col):
-            p = col[a]
-            try:
-                text = texts[id(p)]
-            except KeyError:
-                text = texts[id(p)] = render(p)
-            add(first[a])
-            add(mid)
-            add(text)
-        write("".join(parts)[skip:])
+        try:
+            text = rows(col, mid)
+        except KeyError:  # values not rendered yet
+            new = dict(zip(map(id, col.values()), col.values()))
+            for i in set(new).difference(texts):
+                texts[i] = render(new[i])
+            text = rows(col, mid)
+        write(text[skip:])
         skip = 0
     write(closing)
 

@@ -46,7 +46,6 @@ import operator
 import re
 from typing import Iterable, Mapping, Sequence
 
-from .laurent import LaurentPoly
 
 DEFAULT_CAP = 50_000
 
@@ -428,13 +427,6 @@ class CoxeterSystem:
             word.append(s)
         return tuple(reversed(word))
 
-    def mult_gen(self, w: int, s: int, side: str = "right") -> int:
-        table = self._table(side)
-        self._check_element(w)
-        if not 0 <= s < self.rank:
-            raise ValueError(f"generator index {s} out of range")
-        return table[w][s]
-
     def mult(self, w: int, u: int) -> int:
         """The product w * u: walking w's tree path multiplies u on the
         left by the letters of w's canonical word, last letter first."""
@@ -559,10 +551,6 @@ class CoxeterSystem:
         rep = self._coset_reps(subset)
         return {r: tuple(rep[sr] for sr in self._left[r]) for r in self.min_reps(subset)}
 
-    def poincare(self, subset: Iterable[int]) -> LaurentPoly:
-        """Poincare polynomial of W_I: sum of v^(2 l(w)) over W_I."""
-        return LaurentPoly((2 * self.lengths[w], 1) for w in self.subgroup(subset))
-
     def is_min_coset_rep(self, w: int, subset: Iterable[int]) -> bool:
         """True iff ws > w for every s in I (w is minimal in w W_I)."""
         self._check_element(w)
@@ -584,12 +572,6 @@ class CoxeterSystem:
         if not self.is_min_coset_rep(w, subset):
             raise _not_a_rep(self.word_str(w))
         return w
-
-    def coset_decompose(self, w: int, subset: Iterable[int]) -> tuple[int, int]:
-        """Split w = y * u with y minimal in w W_I, u in W_I, lengths adding."""
-        self._check_element(w)
-        y = self._coset_reps(subset)[w]
-        return y, self.mult(self._inv[y], w)
 
     def project_q(self, w: int, subset: Iterable[int]) -> int:
         """The projection W -> W/W_I composed with the minimal-rep section."""

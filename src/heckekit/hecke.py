@@ -57,6 +57,12 @@ runs the recursion only at the minimum of each orbit of the group they
 generate, and reads every other KL_x off a neighbour in the orbit: F4
 runs it for 344 of 1,152 elements, D5 for 653 of 1,920, A6 for 1,387.
 
+A table stores each KL_x as two tuples: the keys y ascending and the
+interned values h_{y,x} in that order, 16 bytes per entry where a dict
+took 39 (F4 and B5, `sys.getsizeof`).  The recursion and the packed
+column sums read the two side by side; `kl_basis(x).terms` is a
+`Column`, a read-only mapping over them whose lookups bisect the keys.
+
 Off the diagonal every h there lies in vZ[v], so the recursion holds each
 coefficient as the one int n = p(2^K), K = `PACK_BITS` (Kronecker
 substitution, `laurent.pack`): the shift by v is n << K, by v^-1 it is
@@ -71,7 +77,10 @@ which bounds every coefficient of KL_s KL_{sx} - sum mu KL_z.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Mapping
+from bisect import bisect_left
+from collections.abc import Mapping
+from operator import itemgetter
+from typing import Iterator
 
 from .coxeter import CoxeterSystem
 from .laurent import (PACK_BITS, LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot,
@@ -106,7 +115,7 @@ def _acc(terms: dict[int, LaurentPoly], w: int, p: LaurentPoly) -> None:
         del terms[w]
 
 
-def _own(owner, h: "TermElt") -> dict[int, LaurentPoly]:
+def _own(owner, h: "TermElt") -> Mapping[int, LaurentPoly]:
     """The terms of h, which must live in `owner`."""
     if h.owner is not owner:
         raise ValueError("element lives in a different algebra or module")
@@ -116,8 +125,9 @@ def _own(owner, h: "TermElt") -> dict[int, LaurentPoly]:
 class TermElt:
     """A sparse element over a basis indexed by group elements.
 
-    `terms` maps indices to nonzero Laurent polynomials and `owner` is the
-    algebra or module the element lives in.  Instances are arithmetic
+    `terms` maps indices to nonzero Laurent polynomials, a `Column` of a
+    KL table for a KL element, and `owner` is the algebra or module the
+    element lives in.  Instances are arithmetic
     values: +, -, and scaling by a LaurentPoly / int.  Elements of
     different kinds or owners are never equal and do not add.
     """
@@ -125,7 +135,7 @@ class TermElt:
     __slots__ = ("owner", "terms")
     _label = "H"
 
-    def __init__(self, owner, terms: dict[int, LaurentPoly]):
+    def __init__(self, owner, terms: Mapping[int, LaurentPoly]):
         self.owner = owner
         self.terms = terms
 
@@ -134,9 +144,6 @@ class TermElt:
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -206,6 +213,45 @@ class HeckeElt(TermElt):
         return super().__mul__(other)
 
 
+class Column(Mapping):
+    """A read-only view {ys[i]: hs[i]} of one column (ys, hs) of a
+    `KLTable`: the keys ascending and the values in that order.  `keys()`
+    and `values()` are the two tuples, `items()` pairs them up, and a
+    lookup bisects `ys`."""
+
+    __slots__ = ("ys", "hs")
+
+    def __init__(self, ys: tuple[int, ...], hs: tuple[LaurentPoly, ...]):
+        self.ys = ys
+        self.hs = hs
+
+    def get(self, y: int, default=None):
+        ys = self.ys
+        i = bisect_left(ys, y)
+        return self.hs[i] if i < len(ys) and ys[i] == y else default
+
+    def __getitem__(self, y: int) -> LaurentPoly:
+        p = self.get(y)
+        if p is None:
+            raise KeyError(y)
+        return p
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ys)
+
+    def __len__(self) -> int:
+        return len(self.ys)
+
+    def keys(self) -> tuple[int, ...]:
+        return self.ys
+
+    def values(self) -> tuple[LaurentPoly, ...]:
+        return self.hs
+
+    def items(self) -> Iterator[tuple[int, LaurentPoly]]:
+        return zip(self.ys, self.hs)
+
+
 class Packing:
     """The KL coefficients of one algebra, shared by the KL tables of H and
     of its modules.  `polys` maps the packed value p(2^K) of each
@@ -242,31 +288,34 @@ class Packing:
         """Whether sums of `total` multiples of packed coefficients are exact."""
         return self.bound * total < 1 << (PACK_BITS - 1)
 
-    def column_sum(self, pairs: list[tuple[LaurentPoly, Mapping[int, LaurentPoly]]]
+    def column_sum(self, pairs: list[tuple[LaurentPoly, tuple[tuple, tuple]]]
                    ) -> dict[int, LaurentPoly]:
-        """`lincomb` of (c_i, col_i) pairs, each col_i a column of a KL table
-        already read, over packed ints: n_i = c_i(2^K), c_i moved up by v^-lo
-        (lo the least exponent, or 0), times the packed value of each distinct
-        entry of col_i.  A coefficient of the sum adds sum_i ||c_i||_1
+        """`lincomb` of (c_i, col_i) pairs, each col_i a column (ys, hs) of
+        a KL table already read, over packed ints: n_i = c_i(2^K), c_i moved
+        up by v^-lo (lo the least exponent, or 0), times the packed value of
+        each distinct entry of col_i.  A coefficient of the sum adds sum_i ||c_i||_1
         multiples of packed ones at most; where that fails `fits`, or an
         entry is not interned (a corrupted table), `lincomb` sums the pairs."""
+        def exact():
+            return lincomb([(c, Column(*col)) for c, col in pairs])
+
         K = PACK_BITS
         lo = min([0, *(e for c, _ in pairs for e in c._c)])
         if not self.fits(sum(abs(k) for c, _ in pairs for k in c._c.values())):
-            return lincomb(pairs)
+            return exact()
         packed = self.packed
         sums: dict[int, int] = {}
-        for c, col in pairs:
+        for c, (ys, hs) in pairs:
             n = sum(k << K * (e - lo) for e, k in c._c.items())
             prods: dict[int, int] = {}
-            for w, p in col.items():
+            for w, p in zip(ys, hs):
                 i = id(p)
                 m = prods.get(i)
                 if m is None:
                     try:
                         m = prods[i] = n * packed[i]
                     except KeyError:
-                        return lincomb(pairs)
+                        return exact()
                 sums[w] = sums.get(w, 0) + m
         if not lo:
             return {w: unpack(n, K) for w, n in sums.items() if n}
@@ -276,21 +325,24 @@ class Packing:
 
 class KLTable(dict):
     """The memoized KL table of H or of a parabolic module over W^I: maps
-    x to the term map of its KL element, computed on the first lookup of
-    x by the inductive algorithm on the first letter s of x:
+    x to the column (ys, hs) of its KL element, its keys ascending in one
+    tuple and its values in that order in another, computed on the first
+    lookup of x by the inductive algorithm on the first letter s of x:
 
         KL_x = KL_s KL_{sx} - sum_z mu(z, sx) KL_z
 
     over z < sx with sz < z, or sz = z in the spherical module.
     `left[w][s]` is sw, or w where sw is not in W^I, and there
     KL_s P_w = (v + v^-1) P_w in M (`spherical`) and 0 in N (never in H).
-    The table reads W only through `lengths`, `first`, `word_str`
-    and `maps`, index maps g with h_{g(y),g(x)} = h_{y,x} (module
-    docstring) found from `subset` on first use.  On the first miss in an
-    orbit of the group they generate, a breadth-first search from its
-    minimum m gives every other y a source (u, g) with g(u) = y, u nearer
-    to m.  Only m runs the recursion; each y is read off as {g(w): h_{w,u}},
-    the same interned values under mapped keys: one route per x, by index.
+    The table reads W only through `first`, `word_str` and `maps`,
+    index maps g with h_{g(y),g(x)} = h_{y,x} (module docstring) found
+    from `subset` on first use, and it reads l(sw) < l(w) as sw < w:
+    indices follow lengths, as W and W^I are enumerated breadth-first.
+    On the first miss in an orbit of the group they generate, a
+    breadth-first search from its minimum m gives every other y a source
+    (u, g) with g(u) = y, u nearer to m.  Only m runs the recursion; each
+    y is read off as {g(w): h_{w,u}}, the same interned values under
+    mapped keys, sorted: one route per x, by index.
 
     By the descent identity h_{w,u} = v h_{sw,u} for sw > w (Kazhdan-Lusztig
     1979, P_{y,w} = P_{sy,w}), only the coefficients at w with sw <= w
@@ -302,7 +354,10 @@ class KLTable(dict):
     are looked up in `polys`.  A value is decoded only on a miss.  A
     coefficient that is not interned is packed on the fly.  Every position
     reached is kept, so the keys are [e, x] in W^I, with zero values in N
-    only.  A lookup that raises ValueError stores nothing at x.
+    only.  The recursion reads each column it needs by iterating its two
+    tuples side by side, the column of sx once, and builds the new column
+    in a transient dict whose keys it then sorts.  A lookup that raises
+    ValueError stores nothing at x.
     """
 
     def __init__(self, system: CoxeterSystem, left, spherical: bool,
@@ -323,7 +378,7 @@ class KLTable(dict):
             return ()
         return (sys._inv,) * (not subset) + sys.graph_automorphisms(subset)
 
-    def __missing__(self, x: int) -> dict[int, LaurentPoly]:
+    def __missing__(self, x: int) -> tuple[tuple[int, ...], tuple[LaurentPoly, ...]]:
         stack = [self._fill(x)]
         while stack:
             need = next(stack[-1], None)
@@ -336,10 +391,12 @@ class KLTable(dict):
     def _fill(self, x: int) -> Iterator[int]:
         """Store the KL element of x, first yielding each element it reads
         that is not stored yet: `__missing__` fills that off its stack and
-        resumes, so a lookup does not recurse l(x) deep."""
+        resumes, so a lookup does not recurse l(x) deep.  Every x but e
+        has at least two keys, e and x, so `itemgetter` of its keys gives
+        a tuple."""
         pk = self.packing
         if x == 0:
-            self[0] = {0: pk.poly(1)}
+            self[0] = (0,), (pk.poly(1),)
             return
         if self.maps:
             if x not in self._sources:
@@ -350,33 +407,38 @@ class KLTable(dict):
                 u, g = source
                 if u not in self:
                     yield u
-                self[x] = {g[w]: p for w, p in self[u].items()}
+                ys, hs = self[u]
+                terms = dict(zip(itemgetter(*ys)(g), hs))
+                ys = tuple(sorted(terms))
+                self[x] = ys, itemgetter(*ys)(terms)
                 return
         K = PACK_BITS
         mask = (1 << K) - 1
         packed = pk.packed
         sys = self.system
-        lengths = sys.lengths
         left = self.left
         spherical = self.spherical
         s = sys.first[x]
         y = left[x][s]
         if y not in self:
             yield y
-        below = self[y]
         upper: dict[int, int] = {}
-        for w, p in below.items():
+        # (z, mu(z, y)) over z < y with sz < z, or sz = z in M; y itself
+        # has sy = x > y
+        mus: list[tuple[int, int]] = []
+        for w, p in zip(*self[y]):
             try:
                 n = packed[id(p)]
             except KeyError:
                 n = pk.pack(p)
             sw = left[w][s]
-            if lengths[sw] < lengths[w]:
+            if sw < w:  # l(sw) < l(w): indices follow lengths
                 if n & mask:
                     raise self._constant_term(w, y, p)
                 upper[w] = upper.get(w, 0) + (n >> K)
             elif sw != w:
                 upper[sw] = upper.get(sw, 0) + n
+                continue
             elif spherical:
                 # w is its own partner: nothing else lands here
                 if n & mask:
@@ -384,19 +446,17 @@ class KLTable(dict):
                 upper[w] = (n << K) + (n >> K)
             else:
                 upper[w] = 0
+                continue
+            m = p._c.get(1)
+            if m:
+                mus.append((w, m))
         # the keys of upper are the w in [e, y] with sw <= w, and x
         total = 2
-        for z, hzy in below.items():
-            m = hzy._c.get(1)
-            if not m or z == y:
-                continue
-            sz = left[z][s]
-            if lengths[sz] > lengths[z] or sz == z and not spherical:
-                continue
+        for z, m in mus:
             total += abs(m)
             if z not in self:
                 yield z
-            for w, p in self[z].items():
+            for w, p in zip(*self[z]):
                 if w in upper:
                     try:
                         n = packed[id(p)]
@@ -422,7 +482,8 @@ class KLTable(dict):
                     terms[w] = polys[n]
                 except KeyError:
                     terms[w] = pk.poly(n)
-        self[x] = terms
+        ys = tuple(sorted(terms))
+        self[x] = ys, itemgetter(*ys)(terms)
 
     def _walk_orbit(self, x: int) -> None:
         """Record the sources of the orbit of x: a breadth-first search
@@ -645,7 +706,7 @@ class HeckeAlgebra:
     def kl_basis(self, x: int) -> HeckeElt:
         """KL_x, the x entry of the KL table over all of W."""
         self.system._check_element(x)
-        return HeckeElt(self, self._kl[x])
+        return HeckeElt(self, Column(*self._kl[x]))
 
     def kl_poly(self, y: int, x: int) -> LaurentPoly:
         """h_{y,x}: the H_y coefficient of KL_x (0 unless y <= x)."""
@@ -656,12 +717,7 @@ class HeckeAlgebra:
         """The coefficient of v in h_{y,x}."""
         return self.kl_poly(y, x).coeff(1)
 
-    # -- trace, anti-involution, pairing ----------------------------------------
-
-    def a_inv(self, h: HeckeElt) -> HeckeElt:
-        """The anti-involution a: H_x -> H_{x^-1}, fixing coefficients."""
-        inv = self.system._inv
-        return HeckeElt(self, {inv[w]: c for w, c in _own(self, h).items()})
+    # -- trace and pairing ---------------------------------------------------------
 
     def eps(self, h: HeckeElt) -> LaurentPoly:
         """The trace: the coefficient of H_id."""

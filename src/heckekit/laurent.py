@@ -57,10 +57,6 @@ class LaurentPoly:
     def const(cls, value: int) -> "LaurentPoly":
         return cls.monomial(0, value)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "LaurentPoly":
-        return cls(pairs)
-
     # -- queries ---------------------------------------------------------
 
     def coeff(self, exp: int) -> int:
@@ -69,9 +65,6 @@ class LaurentPoly:
     def min_degree(self) -> int | None:
         """Smallest exponent with nonzero coefficient, None for 0."""
         return min(self._c) if self._c else None
-
-    def max_degree(self) -> int | None:
-        return max(self._c) if self._c else None
 
     def is_nonneg(self) -> bool:
         """True iff every coefficient is >= 0."""

@@ -25,9 +25,10 @@ h_{yu,x}; for I = {} this is the classical g_{x,z} = h_{w0 z, w0 x}.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping
 
-from .hecke import HeckeAlgebra, HeckeElt, KLTable, TermElt, _own
+from .hecke import Column, HeckeAlgebra, HeckeElt, KLTable, TermElt, _own
 from .laurent import LaurentPoly, ONE, V, V_INV, ZERO, _as_poly, dot, vpow
 
 _KL_M = (V_INV, V, V + V_INV)  # KL_s P_w in M: (lower, higher, fixed)
@@ -147,7 +148,7 @@ class ParabolicModule:
 
     def kl_basis(self, x: int) -> ParabolicElt:
         """PKL_x, the KL element of x in M; unitriangular at x."""
-        return ParabolicElt(self, self._pkl[self._check_rep(x)])
+        return ParabolicElt(self, Column(*self._pkl[self._check_rep(x)]))
 
     def from_kl(self, pairs: Iterable[tuple[int, LaurentPoly]]) -> ParabolicElt:
         """sum_y c_y PKL_y over (y, c_y) pairs, in the standard basis; a y
@@ -171,21 +172,24 @@ class ParabolicModule:
         interval of x."""
         self._check_rep(x)
         opposite = self._opposite
-        return {opposite[r]: g for r, g in self._nkl[opposite[x]].items()}
+        return {opposite[r]: g for r, g in zip(*self._nkl[opposite[x]])}
 
     def inverse_col(self, z: int) -> dict[int, LaurentPoly]:
         """{x: g_{x,z}} for all x <= z in W^I, x ascending, zero values
         included: over the keys x of the KL element of z in N, [e, z] in
-        W^I, the w0 z w_I entry of the KL element of w0 x w_I in N."""
+        W^I, the w0 z w_I entry of the KL element of w0 x w_I in N, found
+        by bisecting that column's keys."""
         self._check_rep(z)
         nkl, opposite = self._nkl, self._opposite
-        return {x: nkl[opposite[x]][opposite[z]] for x in sorted(nkl[z])}
+        xs, oz = nkl[z][0], opposite[z]
+        cols = map(nkl.__getitem__, map(opposite.__getitem__, xs))
+        return {x: hs[bisect_left(ys, oz)] for x, (ys, hs) in zip(xs, cols)}
 
     def inverse_kl(self, x: int, z: int) -> LaurentPoly:
         """g_{x,z} by KL duality: the entry at w0 z w_I of the KL element
         of w0 x w_I in N, so 0 unless x <= z, and g_{x,x} = 1."""
         self._check_rep(x)
-        col = self._nkl[self._opposite[x]]
+        col = Column(*self._nkl[self._opposite[x]])
         self._check_rep(z)
         return col.get(self._opposite[z], ZERO)
 

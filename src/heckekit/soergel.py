@@ -31,10 +31,6 @@ class Character(TermElt):
     def coeffs(self) -> dict[int, LaurentPoly]:
         return self.terms
 
-    def to_parabolic(self) -> ParabolicElt:
-        """Expand back into the standard parabolic basis: sum_y c_y PKL_y."""
-        return self.module.from_kl(self.terms.items())
-
     def to_json_obj(self) -> dict:
         return {"subset": self.module.subset_labels(),
                 "coeffs": super().to_json_obj()}

@@ -5,6 +5,21 @@ import pytest
 from heckekit import CoxeterMatrix, HeckeAlgebra, build
 
 
+def corrupt_entry(table, x, y, bad):
+    """Fault injection into a KL table: store at x its column with the
+    entry at y replaced by bad(entry), or dropped where bad returns None,
+    laid out as the table lays out its own columns, the keys ascending
+    in one tuple and the values in that order in another."""
+    terms = dict(zip(*table[x]))
+    p = bad(terms[y])
+    if p is None:
+        del terms[y]
+    else:
+        terms[y] = p
+    ys = tuple(sorted(terms))
+    table[x] = ys, tuple(terms[w] for w in ys)
+
+
 @functools.lru_cache(maxsize=None)
 def _system(name: str):
     return build(CoxeterMatrix.from_name(name))

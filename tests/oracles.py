@@ -21,14 +21,22 @@ by one KL pair per term instead of the library's packed column sums,
 and the chamber keys of the enumeration by tuples of coordinates instead
 of the library's packed integers, and the CLI's argparse tree with
 every subcommand's parser constructed and filled as it is registered
-instead of only the one a parse dispatches to.
+instead of only the one a parse dispatches to, and the CLI's tables by
+sorting each column and looking each entry up instead of writing the
+columns in the order the library keeps them.
+
+It also holds the queries that only tests ask: a product by one
+generator with its indices checked, the Poincare polynomial of W_I, the
+coset decomposition w = y u and the anti-involution a of H.
 """
 
 import argparse
 import functools
+import json
+import sys
 
 from heckekit import cli, coxeter
-from heckekit.hecke import KLTable, Packing
+from heckekit.hecke import HeckeElt, KLTable, Packing
 from heckekit.laurent import LaurentPoly, ONE, V, V_INV, ZERO, lincomb, vpow
 from heckekit.parabolic import ParabolicElt
 from heckekit.rouquier import ComplexShape
@@ -87,7 +95,7 @@ def kl_basis_via_gen_mult(algebra, x):
     if x == 0:
         return algebra.unit()
     s = sys.reduced_word(x)[0]
-    y = sys.mult_gen(x, s, "left")
+    y = mult_gen(sys, x, s, "left")
     below = kl_basis_via_gen_mult(algebra, y)
     result = algebra.kl_gen_mult(s, below)
     for z, h in below.terms.items():
@@ -203,7 +211,7 @@ def bruhat_lower_set(system, y):
         w = 0
         for i, s in enumerate(word):
             if mask >> i & 1:
-                w = system.mult_gen(w, s, "right")
+                w = mult_gen(system, w, s, "right")
         out.add(w)
     return out
 
@@ -355,3 +363,78 @@ def shape_character_via_terms(shape, twist):
     return ParabolicElt(module, lincomb(
         (vpow(twist * shift, -mult if deg % 2 else mult), module.kl_basis(y).terms)
         for deg, entries in shape.terms.items() for y, shift, mult in entries))
+
+
+def mult_gen(system, w, s, side="right"):
+    """w s (side "right") or s w ("left"), both indices checked."""
+    table = system._table(side)
+    system._check_element(w)
+    if not 0 <= s < system.rank:
+        raise ValueError(f"generator index {s} out of range")
+    return table[w][s]
+
+
+def poincare(system, subset):
+    """The Poincare polynomial of W_I: the sum of v^(2 l(w)) over W_I."""
+    return LaurentPoly((2 * system.lengths[w], 1) for w in system.subgroup(subset))
+
+
+def coset_decompose(system, w, subset):
+    """w = y u with y minimal in w W_I and u in W_I, lengths adding."""
+    y = system.project_q(w, subset)
+    return y, system.mult(system.inverse(y), w)
+
+
+def a_inv(algebra, h):
+    """The anti-involution a: H_x -> H_{x^-1}, fixing coefficients."""
+    inv = algebra.system._inv
+    return HeckeElt(algebra, {inv[w]: c for w, c in h.terms.items()})
+
+
+def print_table_sorted(system, elements, fmt, head, keys, header, columns):
+    """`cli._print_table` as it was before the KL tables kept their
+    columns sorted: each column's keys are sorted here and each value is
+    looked up by its key.  Rows (a, b, p), a ascending within each column
+    (b, {a: p}), as TSV lines below `header` or as JSON, `head` with a
+    "rows" list of objects with the given keys, byte for byte what
+    json.dumps(indent=2) writes."""
+    name = {w: system.word_str(w) for w in elements}
+    if fmt == "json":
+        ka, kb, kp = (f"      {json.dumps(k)}: " for k in keys)
+        name = {w: json.dumps(t) for w, t in name.items()}
+        # every row opens with the separator; the first row drops it
+        first = {w: f",\n    {{\n{ka}{t}" for w, t in name.items()}
+        # the head without its closing "\n}", then the rows list
+        opening = json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
+        before, after, skip, closing = f",\n{kb}", f",\n{kp}", 1, "\n  ]\n}\n"
+
+        def render(p):
+            text = json.dumps(p.to_pairs(), indent=2)
+            return text.replace("\n", "\n      ") + "\n    }"
+    else:
+        first = name
+        opening, before, after, skip, closing = header + "\n", "\t", "\t", 0, ""
+
+        def render(p):
+            return f"{p}\n"
+    # keyed by id: the columns keep every value alive, so no id is reused,
+    # and equal values render alike
+    texts: dict[int, str] = {}
+    write = sys.stdout.write
+    write(opening)
+    for b, col in columns:
+        mid = before + name[b] + after
+        parts: list[str] = []
+        add = parts.append
+        for a in sorted(col):
+            p = col[a]
+            try:
+                text = texts[id(p)]
+            except KeyError:
+                text = texts[id(p)] = render(p)
+            add(first[a])
+            add(mid)
+            add(text)
+        write("".join(parts)[skip:])
+        skip = 0
+    write(closing)

@@ -13,7 +13,7 @@ from heckekit.cli import main
 from heckekit.hecke import HeckeAlgebra
 from heckekit.parabolic import ParabolicModule
 from heckekit.verify import SUITES
-from oracles import eager_make_parser
+from oracles import eager_make_parser, print_table_sorted
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +205,29 @@ def test_table_output_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (type, subsets): every subset of A3 and B3, and a spread of D4's
+PRINTER_CASES = [
+    ("A3", ["", "s1", "s2", "s3", "s1,s2", "s1,s3", "s2,s3", "s1,s2,s3"]),
+    ("B3", ["", "s1", "s2", "s3", "s1,s2", "s1,s3", "s2,s3", "s1,s2,s3"]),
+    ("D4", ["", "s2", "s1,s3", "s1,s3,s4", "s2,s3,s4", "s1,s2,s3,s4"]),
+]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("name,subsets", PRINTER_CASES, ids=[c[0] for c in PRINTER_CASES])
+def test_tables_match_the_sorting_printer(capsys, monkeypatch, name, subsets, fmt):
+    # the columns are written in the order the tables keep them, unsorted
+    # by the printer; the printer that sorted each column prints the same
+    argvs = [("kl-table", "--type", name, "--format", fmt)]
+    argvs += [(command, "--type", name, "--subset", subset, "--format", fmt)
+              for command in ("parabolic-tables", "inverse-tables") for subset in subsets]
+    outputs = [run_cli(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_print_table", print_table_sorted)
+    for argv, (code, out, err) in zip(argvs, outputs):
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *argv) == (0, out, ""), argv
 
 
 TABLE_FAULTS = [

@@ -99,7 +99,7 @@ def test_parabolic_and_hecke_elements_stay_apart(alg_of):
     assert str(H.std(s)) == "(1*v^0) * H[s1]"
     assert H.std(s) * H.std(s) == H.mult(H.std(s), H.std(s))
     assert V * M.delta(s) == M.delta(s) * V == M.elt({s: V})
-    assert (M.delta(s) - M.delta(s)).is_zero()
+    assert not M.delta(s) - M.delta(s)
     with pytest.raises(TypeError):
         M.delta(s) * M.delta(s)
     # a character with the same terms is a third kind
@@ -375,12 +375,12 @@ def test_empty_subset_modules_fill_the_table_of_h(sys_of):
     H = HeckeAlgebra(sys_of("A3"))
     M = H.parabolic([])
     x = H.system.parse_element("s1.s2")
-    assert M.kl_basis(x).terms is H._kl[x]
+    assert M.kl_basis(x).terms.ys is H._kl[x][0]
     m = M._opposite[x]
     assert m not in H._kl
     row = M.inverse_row(x)
     assert m in H._kl
-    assert sorted(row) == sorted(M._opposite[r] for r in H._kl[m])
+    assert sorted(row) == sorted(M._opposite[r] for r in H._kl[m][0])
     assert M._pkl is H._kl and M._nkl is H._kl
 
 

@@ -116,7 +116,8 @@ def test_quotient_module_is_the_module_over_w(alg_of, name):
         for phi, psi in zip(maps, S.graph_automorphisms(subset)):
             assert psi == tuple(idx(phi[r]) for r in reps)
         for x, r in enumerate(reps):
-            for mine, theirs in ((Q._pkl[x], M._pkl[r]), (Q._nkl[x], M._nkl[r]),
+            for mine, theirs in ((dict(zip(*Q._pkl[x])), dict(zip(*M._pkl[r]))),
+                                 (dict(zip(*Q._nkl[x])), dict(zip(*M._nkl[r]))),
                                  (Q.inverse_col(x), M.inverse_col(r))):
                 assert mine == {idx(y): p for y, p in theirs.items()}, (subset, r)
 

@@ -19,6 +19,8 @@ from oracles import (
     bott_samelson_via_hecke,
     decompose_in_kl_basis,
     embed_via_subgroup,
+    mult_gen,
+    poincare,
     to_parabolic_via_acc,
     trace_pairing,
 )
@@ -77,7 +79,7 @@ def test_decompose_roundtrip(alg_of):
             for _ in range(3)
         }
         p = M.elt(terms)
-        assert kl_decompose(p).to_parabolic() == p
+        assert M.from_kl(kl_decompose(p).coeffs.items()) == p
 
 
 # -- Bott-Samelson characters -------------------------------------------------------
@@ -231,11 +233,11 @@ def test_to_parabolic_matches_acc_route(alg_of):
             chars += [delta_char(M, x) for x in M.reps]
             chars += [kl_decompose(M.delta(x)) for x in M.reps]
             for c in chars:
-                p = c.to_parabolic()
+                p = M.from_kl(c.coeffs.items())
                 assert p.terms == to_parabolic_via_acc(c), (name, subset, c)
                 assert all(p.terms.values())
             for x in M.reps:
-                assert kl_decompose(M.delta(x)).to_parabolic().terms == {x: ONE}
+                assert M.from_kl(kl_decompose(M.delta(x)).coeffs.items()).terms == {x: ONE}
 
 
 def test_hom_rank_matches_direct_composition(alg_of):
@@ -250,10 +252,10 @@ def test_hom_rank_matches_direct_composition(alg_of):
             pairs.append((delta_char(M, rng.choice(M.reps)),
                           delta_char(M, rng.choice(M.reps))))
             for c1, c2 in pairs:
-                h1 = M.embed(c1.to_parabolic())
-                h2 = H.bar(M.embed(c2.to_parabolic()))
+                h1 = M.embed(M.from_kl(c1.coeffs.items()))
+                h2 = H.bar(M.embed(M.from_kl(c2.coeffs.items())))
                 direct = div_exact(trace_pairing(H, h1, h2),
-                                   M.system.poincare(M.subset))
+                                   poincare(M.system, M.subset))
                 assert graded_hom_rank(c1, c2) == direct, (name, subset, c1, c2)
 
 
@@ -273,7 +275,7 @@ def test_hom_rank_of_wide_characters_matches_embedded_pairing(alg_of, name):
             h1 = embed_via_subgroup(M, M.elt(to_parabolic_via_acc(c1)))
             h2 = embed_via_subgroup(M, M.elt(to_parabolic_via_acc(c2)))
             direct = div_exact(trace_pairing(H, h1, H.elt(bar_via_acc(H, h2))),
-                               M.system.poincare(M.subset))
+                               poincare(M.system, M.subset))
             assert graded_hom_rank(c1, c2) == direct, (subset, c1, c2)
 
 
@@ -289,13 +291,13 @@ def test_hom_rank_diagonal_shape_empty_subset(alg_of):
         assert r.coeff(0) == 1
         assert r.is_nonneg()
         assert all(e >= 0 and e % 2 == 0 for e, _ in r.items())
-        assert r == vpow(r.min_degree() + r.max_degree()) * r.bar()
+        assert r == vpow(r.min_degree() + max(r.support())) * r.bar()
 
     H3 = alg_of("B3")
     M3 = H3.parabolic([])
     skew = H3.system.parse_element("s1.s2.s3.s2.s1.s3")
     r = graded_hom_rank(delta_char(M3, skew), delta_char(M3, skew))
-    assert r != vpow(r.min_degree() + r.max_degree()) * r.bar()
+    assert r != vpow(r.min_degree() + max(r.support())) * r.bar()
 
 
 def test_hom_rank_rejects_mixed_modules(alg_of):
@@ -373,7 +375,7 @@ def test_descent_product_not_perverse(alg_of):
     for x in M.reps:
         xw = W.mult(x, M.w_long)
         for s in range(W.rank):
-            if W.length(W.mult_gen(xw, s, "left")) < W.length(xw):
+            if W.length(mult_gen(W, xw, s, "left")) < W.length(xw):
                 c = kl_decompose(M.extract(H.kl_gen_mult(s, M.embed(M.kl_basis(x)))))
                 assert c.coeffs == {x: V + V_INV}
                 assert not is_perverse(c)

@@ -4,6 +4,8 @@ from heckekit import HeckeAlgebra, build_named, hecke, run_suites, verify
 from heckekit.laurent import ONE, V, LaurentPoly, lincomb, pack_shifted, unpack
 from heckekit.verify import SUITES, SuiteResult
 
+from conftest import corrupt_entry
+
 
 def test_all_suites_pass_a2():
     H = HeckeAlgebra(build_named("A2"))
@@ -60,10 +62,7 @@ def test_suite_result_add_counts_a_unit_at_once():
 
 
 def _corrupt_top_kl(H, y):
-    top = H.system.longest
-    corrupted = dict(H.kl_basis(top).terms)
-    corrupted[y] = corrupted[y] + LaurentPoly({3: 1})
-    H._kl[top] = corrupted
+    corrupt_entry(H._kl, H.system.longest, y, lambda p: p + LaurentPoly({3: 1}))
 
 
 def test_corrupted_kl_cache_fails_inversion():
@@ -93,11 +92,7 @@ def test_corrupted_kl_cache_fails_inversion():
 
 def test_corrupted_kl_cache_fails_bar_invariance():
     H = HeckeAlgebra(build_named("A2"))
-    top = H.system.longest
-    kl = H.kl_basis(top)
-    corrupted = dict(kl.terms)
-    corrupted[0] = corrupted[0] + LaurentPoly({2: 1})
-    H._kl[top] = corrupted
+    corrupt_entry(H._kl, H.system.longest, 0, lambda p: p + LaurentPoly({2: 1}))
 
     results = run_suites(H, ["bar-invariance"])
     assert not results[0].passed
@@ -161,10 +156,7 @@ def _corrupt_inverse_row(H, subset, x, z, *_, delta=LaurentPoly({1: -2, 2: 1})):
     x, z = sys.parse_element(x), sys.parse_element(z)
     for r in mod.reps:
         mod._nkl[r]
-    m, n = mod._opposite[x], mod._opposite[z]
-    col = dict(mod._nkl[m])
-    col[n] = col[n] + delta
-    mod._nkl[m] = col
+    corrupt_entry(mod._nkl, mod._opposite[x], mod._opposite[z], lambda g: g + delta)
 
 
 def _unpackable_inverse(H, subset, x, z, *_):
@@ -181,45 +173,39 @@ def _corrupt_inverse_row_pair(H, subset, *_):
 def _corrupt_pkl(H, subset, x, _z, top, *_):
     sys, mod = H.system, H.parabolic(subset)
     x, top = sys.parse_element(x), sys.parse_element(top)
-    terms = dict(mod.kl_basis(top).terms)
-    terms[x] = terms[x] + LaurentPoly({1: 1})
-    mod._pkl[top] = terms
+    corrupt_entry(mod._pkl, top, x, lambda p: p + LaurentPoly({1: 1}))
 
 
 def _drop_pkl_diagonal(H, subset, _x, _z, top, *_):
     sys, mod = H.system, H.parabolic(subset)
     top = sys.parse_element(top)
-    terms = dict(mod.kl_basis(top).terms)
-    del terms[top]
-    mod._pkl[top] = terms
+    corrupt_entry(mod._pkl, top, top, lambda p: None)
 
 
 def _corrupt_kl(H, _subset, _x, _z, _top, mid, y):
     sys = H.system
     mid, y = sys.parse_element(mid), sys.parse_element(y)
-    terms = dict(H.kl_basis(mid).terms)
-    terms[y] = terms[y] + LaurentPoly({-1: 1})
-    H._kl[mid] = terms
+    corrupt_entry(H._kl, mid, y, lambda p: p + LaurentPoly({-1: 1}))
 
 
 def _unpackable_pkl(H, subset, x, _z, top, *_):
     # v^-1 in an entry of M, which then does not pack
     sys, mod = H.system, H.parabolic(subset)
     x, top = sys.parse_element(x), sys.parse_element(top)
-    terms = dict(mod.kl_basis(top).terms)
-    terms[x] = terms[x] + LaurentPoly({-1: 1})
-    mod._pkl[top] = terms
+    corrupt_entry(mod._pkl, top, x, lambda p: p + LaurentPoly({-1: 1}))
 
 
 def _oversized_kl(H, _subset, _x, _z, _top, mid, y):
     # the top coefficient of h_{y,mid} set to 2^63, which needs 65 bits
     sys = H.system
     mid, y = sys.parse_element(mid), sys.parse_element(y)
-    terms = dict(H.kl_basis(mid).terms)
-    coeffs = dict(terms[y].items())
-    coeffs[max(coeffs)] = 1 << 63
-    terms[y] = LaurentPoly(coeffs)
-    H._kl[mid] = terms
+
+    def oversized(p):
+        coeffs = dict(p.items())
+        coeffs[max(coeffs)] = 1 << 63
+        return LaurentPoly(coeffs)
+
+    corrupt_entry(H._kl, mid, y, oversized)
 
 
 def _corrupt_coset_rep(H, subset, x, _z, top, *_):
@@ -604,7 +590,7 @@ def test_bar_invariance_reads_the_packed_bar_basis(name, monkeypatch):
 
     def kl_operands(H):
         lengths = H.system.lengths
-        return {key for x in range(H.system.size) for w, p in H._kl[x].items()
+        return {key for x in range(H.system.size) for w, p in zip(*H._kl[x])
                 for key in ((p, lengths[x] - lengths[w], True), (p, lengths[x], False))}
 
     monkeypatch.setattr(verify, "pack_shifted", recorded)
